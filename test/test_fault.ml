@@ -485,11 +485,27 @@ let test_chaos_silent_receiver_cancels_cascade () =
   let o = run_scenario Chaos.Silent_receiver in
   check_conserved o;
   Alcotest.(check bool) "not delivered" false o.Chaos.o_delivered;
+  (* The paper's unlockability worst case. Every channel opened at
+     500/500 and ran two warm-up updates of 10 from A, so each one's
+     pre-payment (and pre-lock) balances are 480/520. *)
   (match o.Chaos.o_fates with
-  | [| Payment.Hop_cancelled; Payment.Hop_cancelled; Payment.Hop_disputed _ |]
+  | [| Payment.Hop_cancelled; Payment.Hop_cancelled; Payment.Hop_disputed p |]
     ->
-      ()
+      Alcotest.(check (pair int int)) "receiver hop settled at pre-lock balances"
+        (480, 520) (p.pay_a, p.pay_b)
   | _ -> Alcotest.fail "expected upstream cancels + receiver-hop dispute");
+  Array.iteri
+    (fun i (c : channel) ->
+      if i = 2 then
+        Alcotest.(check bool) "receiver channel closed" true c.a.closed
+      else begin
+        Alcotest.(check bool) (Printf.sprintf "hop %d open" (i + 1)) false
+          c.a.closed;
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "hop %d pre-payment balances" (i + 1))
+          (480, 520) (c.a.my_balance, c.b.my_balance)
+      end)
+    o.Chaos.o_channels;
   Alcotest.(check int) "one dispute" 1 o.Chaos.o_disputes
 
 let test_chaos_cheating_hop_is_punished () =

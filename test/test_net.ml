@@ -80,9 +80,15 @@ let test_onion_wrong_key () =
 
 (* --- graph + routing + payment --- *)
 
-let line_network ?(n = 3) ?(bal = 50) label =
-  (* n nodes in a line: 0 - 1 - ... - (n-1) *)
-  let t = Graph.create ~cfg:test_cfg (Monet_hash.Drbg.split drbg label) in
+let line_network ?(n = 3) ?(bal = 50) ?seed label =
+  (* n nodes in a line: 0 - 1 - ... - (n-1); a [seed] makes the network
+     reproducible independently of the shared generator. *)
+  let g =
+    match seed with
+    | Some s -> Monet_hash.Drbg.of_int s
+    | None -> Monet_hash.Drbg.split drbg label
+  in
+  let t = Graph.create ~cfg:test_cfg g in
   let ids = Array.init n (fun i -> Graph.add_node t ~name:(Printf.sprintf "n%d" i)) in
   Array.iter (fun id -> Graph.fund_node t id ~amount:(2 * bal)) ids;
   for i = 0 to n - 2 do
@@ -164,33 +170,76 @@ let test_latency_model () =
       Alcotest.(check bool) "full-rounds model is slower" true
         (Payment.latency_full_rounds_ms o ~network_ms:60.0 > l)
 
-
-let test_worst_case_last_hop_dispute () =
-  (* The paper's unlockability worst case: receiver stonewalls; the
-     last hop closes through the KES at the pre-lock state; earlier
-     hops cancel and stay open. *)
-  let t, ids = line_network ~n:4 "wc" in
-  match Router.find_path t ~src:ids.(0) ~dst:ids.(3) ~amount:10 with
-  | Error e -> Alcotest.fail e
-  | Ok path -> (
-      match Payment.fail_with_last_hop_dispute t ~path ~amount:10 () with
-      | Error e -> Alcotest.failf "worst case: %s" (Payment.error_to_string e)
-      | Ok (payout, _) ->
-          (* Last channel settled at pre-lock balances (50/50). *)
-          Alcotest.(check int) "payer side payout" 50 payout.Ch.pay_a;
-          Alcotest.(check int) "receiver side payout" 50 payout.Ch.pay_b;
-          let last = Graph.edge t 3 in
-          Alcotest.(check bool) "last channel closed" true
-            (Graph.channel_exn last).Ch.a.Ch.closed;
-          (* Earlier channels remain open at original balances. *)
-          List.iter
-            (fun eid ->
-              let e = Graph.edge t eid in
-              Alcotest.(check bool) (Printf.sprintf "edge %d open" eid) true
-                (Graph.is_open e);
-              Alcotest.(check int) "balances restored" 50
-                (Graph.balance_of e ~node_id:e.Graph.e_left))
-            [ 1; 2 ])
+let test_engine_agrees_across_transports () =
+  (* One seeded, fault-free 3-hop payment on two identical networks:
+     plain over Sync transport, and with tower + clock over Scheduled
+     transport with faultless plans (the chaos harness's Happy set-up).
+     The engine must not tell the two apart. *)
+  let run ~scheduled =
+    let t, ids = line_network ~n:4 ~seed:4343 "agree" in
+    let path =
+      match Router.find_path t ~src:ids.(0) ~dst:ids.(3) ~amount:10 with
+      | Ok p -> p
+      | Error e -> Alcotest.fail e
+    in
+    let tower = Monet_channel.Watchtower.create () in
+    let clock = Monet_dsim.Clock.create () in
+    if scheduled then
+      List.iter
+        (fun (e : Graph.edge) ->
+          let c = Graph.channel_exn e in
+          c.Ch.transport <-
+            Monet_channel.Driver.Scheduled
+              { clock; latency = Monet_dsim.Latency.Fixed 5.0;
+                g = Monet_hash.Drbg.of_int e.Graph.e_id };
+          Ch.set_faults c
+            (Some
+               (Ch.make_faults ~deadline_ms:100.0 ~max_retries:3 ~backoff:2.0
+                  (Monet_fault.Plan.none ())));
+          Monet_channel.Watchtower.watch tower c ~victim:Monet_sig.Two_party.Alice)
+        (Graph.edge_list t);
+    let module Trace = Monet_obs.Trace in
+    Trace.enable ();
+    let r =
+      Fun.protect ~finally:Trace.disable (fun () ->
+          if scheduled then Payment.execute t ~path ~amount:10 ~tower ~clock ()
+          else Payment.execute t ~path ~amount:10 ())
+    in
+    let rec names (s : Trace.span) =
+      (if String.starts_with ~prefix:"payment." s.Trace.sp_name then
+         [ s.Trace.sp_name ]
+       else [])
+      @ List.concat_map names s.Trace.sp_children
+    in
+    let spans = List.concat_map names (Trace.roots ()) in
+    Trace.clear ();
+    match r with
+    | Error e -> Alcotest.fail (Payment.error_to_string e)
+    | Ok o ->
+        let balances =
+          List.concat_map
+            (fun (e : Graph.edge) ->
+              [ Graph.balance_of e ~node_id:e.Graph.e_left;
+                Graph.balance_of e ~node_id:e.Graph.e_right ])
+            (Graph.edge_list t)
+        in
+        (o, balances, spans)
+  in
+  let o1, bal1, spans1 = run ~scheduled:false in
+  let o2, bal2, spans2 = run ~scheduled:true in
+  Alcotest.(check bool) "sync succeeded" true o1.Payment.succeeded;
+  Alcotest.(check bool) "same succeeded" o1.Payment.succeeded o2.Payment.succeeded;
+  List.iter
+    (fun (o : Payment.outcome) ->
+      Alcotest.(check bool) "every hop unlocked" true
+        (Array.for_all (( = ) Payment.Hop_unlocked) o.Payment.fates))
+    [ o1; o2 ];
+  Alcotest.(check (list int)) "same final balances" bal1 bal2;
+  Alcotest.(check int) "same messages" o1.Payment.stats.Payment.messages
+    o2.Payment.stats.Payment.messages;
+  Alcotest.(check int) "same bytes" o1.Payment.stats.Payment.bytes
+    o2.Payment.stats.Payment.bytes;
+  Alcotest.(check (list string)) "same payment spans" spans1 spans2
 
 let test_watchtower_punishes () =
   let t, ids = line_network ~n:2 "wt" in
@@ -333,13 +382,13 @@ let test_routing_fees () =
   (match Router.find_path t ~src:ids.(0) ~dst:ids.(2) ~amount:12 with
   | Error e -> Alcotest.fail e
   | Ok path -> (
-      Alcotest.(check (list int)) "fee-adjusted amounts" [ 12; 10 ]
-        (Payment.amounts_with_fees t ~path ~amount:10);
-      match Payment.execute_with_fees t ~path ~amount:10 () with
+      let amounts = Router.amounts t ~amount:10 path in
+      Alcotest.(check (list int)) "fee-adjusted amounts" [ 12; 10 ] amounts;
+      match Payment.execute t ~path ~amount:10 () with
       | Error e -> Alcotest.fail (Payment.error_to_string e)
-      | Ok (o, total_sent) ->
+      | Ok o ->
           Alcotest.(check bool) "succeeded" true o.Payment.succeeded;
-          Alcotest.(check int) "sender cost incl. fee" 12 total_sent));
+          Alcotest.(check int) "sender cost incl. fee" 12 (List.hd amounts)));
   let e1 = Graph.edge t 1 and e2 = Graph.edge t 2 in
   Alcotest.(check int) "alice paid 12" 38 (Graph.balance_of e1 ~node_id:ids.(0));
   Alcotest.(check int) "bob kept the fee" 102
@@ -400,7 +449,8 @@ let tests =
     Alcotest.test_case "atomic cancel" `Quick test_multihop_atomicity_on_cancel;
     Alcotest.test_case "long path" `Quick test_multihop_long_path;
     Alcotest.test_case "latency model" `Quick test_latency_model;
-    Alcotest.test_case "worst-case last-hop dispute" `Quick test_worst_case_last_hop_dispute;
+    Alcotest.test_case "engine agrees across transports" `Quick
+      test_engine_agrees_across_transports;
     Alcotest.test_case "watchtower punishes" `Quick test_watchtower_punishes;
     Alcotest.test_case "watchtower on clock" `Quick test_watchtower_scheduled_on_clock;
     Alcotest.test_case "onion fixed-size privacy" `Quick test_onion_fixed_size_privacy;

@@ -457,6 +457,56 @@ let run ~smoke : entry list =
                  failwith "verify failed in bench")
              bv_items)
   in
+  (* The VCOF step-proof kernels (DESIGN.md §3.2, §3.5). *)
+  let clock = "clock: Sys.time (CPU time)" in
+  let fe_inv_ops = ops_per_sec ~iters:(scale 20_000 4) (fun () -> fe_x := Fe.inv !fe_x) in
+  let fe_inv_baseline =
+    ops_per_sec ~iters:(scale 2_000 2) (fun () -> fer_x := Fe_ref.inv !fer_x)
+  in
+  let enc_p = Point.encode p in
+  let encode_ops =
+    ops_per_sec ~iters:(scale 20_000 4) (fun () ->
+        sink := !sink lxor Hashtbl.hash (Point.encode p))
+  in
+  let decode_ops =
+    ops_per_sec ~iters:(scale 20_000 4) (fun () ->
+        sink := !sink lxor Hashtbl.hash (Point.decode enc_p))
+  in
+  let exps = Array.init 64 (fun _ -> Bn.of_bytes_le (Monet_hash.Drbg.bytes drbg 48)) in
+  let next_exp () =
+    idx := (!idx + 1) land 63;
+    exps.(!idx)
+  in
+  let h = Zl.default_base in
+  let zl_ops =
+    ops_per_sec ~iters:(scale 20_000 4) (fun () ->
+        sink := !sink lxor Hashtbl.hash (Zl.pow h (next_exp ())))
+  in
+  let zl_ctx = Bn.Barrett.create Sc.l in
+  let zl_baseline =
+    ops_per_sec ~iters:(scale 1_000 2) (fun () ->
+        sink := !sink lxor Hashtbl.hash (Bn.Barrett.pow_mod zl_ctx h (next_exp ())))
+  in
+  let module Stadler = Monet_sigma.Stadler in
+  let prove_ops =
+    ops_per_sec ~iters:(scale 50 1) (fun () ->
+        let proof, _, _ = Stadler.prove drbg ~x:(next_sc ()) ~h in
+        sink := !sink lxor Array.length proof.Stadler.reps)
+  in
+  (* A published chain of 39 steps: Y'ᵢ = Yᵢ₊₁. *)
+  let chain_n = 39 in
+  let chain =
+    let x = ref (Sc.random_nonzero drbg) in
+    Array.init chain_n (fun _ ->
+        let proof, y, y' = Stadler.prove drbg ~x:!x ~h in
+        x := Zl.pow h !x;
+        (y, y', proof))
+  in
+  let verify_batch_ops =
+    float_of_int chain_n
+    *. ops_per_sec ~iters:(scale 10 1) (fun () ->
+           if not (Stadler.verify_batch ~h chain) then failwith "stadler batch failed in bench")
+  in
   (* One full channel update (both parties, incl. KES cross-signing),
      with a reduced VCOF repetition count so the Stadler proofs don't
      drown the EC signal; the rep count is recorded in the entry. *)
@@ -490,13 +540,25 @@ let run ~smoke : entry list =
          baseline: individual verifies";
     entry "channel_update" upd_ops
       ~note:(Printf.sprintf "vcof_reps=%d, both parties incl. KES" vcof_reps);
+    entry "fe_inv" fe_inv_ops ~baseline:fe_inv_baseline
+      ~note:("ref10 addition chain; baseline: Fe_ref.inv, a ladder over a Bn exponent; " ^ clock);
+    entry "point_encode" encode_ops ~note:("one inversion per point; " ^ clock);
+    entry "point_decode" decode_ops ~note:("RFC 8032 single-exponentiation x recovery; " ^ clock);
+    entry "zl_pow_384" zl_ops ~baseline:zl_baseline
+      ~note:
+        ("h^x mod l, 384-bit x, Montgomery comb; baseline: Bn.Barrett.pow_mod square-and-multiply; "
+        ^ clock);
+    entry "stadler_prove_80" prove_ops ~note:("one 80-repetition VCOF step proof; " ^ clock);
+    entry "stadler_verify_batch_39" verify_batch_ops
+      ~note:("39 chained 80-repetition proofs in one batch, per-proof rate; " ^ clock);
   ]
 
 let required_keys =
   [
     "fe_mul"; "fe_mul_vs_specialized"; "point_mul"; "mul_base"; "double_mul";
     "lsag_sign_ring11"; "lsag_verify_ring11"; "msm"; "batch_verify";
-    "channel_update"; "results"; "schema"; "obs_registry";
+    "channel_update"; "fe_inv"; "point_encode"; "point_decode"; "zl_pow_384";
+    "stadler_prove_80"; "stadler_verify_batch_39"; "results"; "schema"; "obs_registry";
   ]
 
 let () =

@@ -33,7 +33,7 @@ let drbg = Monet_hash.Drbg.of_int 20220704
 let ch_err e = failwith (Ch.error_to_string e)
 let pay_err e = failwith (Payment.error_to_string e)
 
-(* Median-of-N wall-time of [f], in milliseconds. *)
+(* Median-of-N CPU time of [f] ([Sys.time]), in milliseconds. *)
 let time_ms ?(runs = 5) (f : unit -> unit) : float =
   let samples =
     List.init runs (fun _ ->

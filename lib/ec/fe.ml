@@ -12,8 +12,9 @@
     it: {!equal}, {!is_odd}, {!to_bn}).
 
     Conversions to/from {!Bn.t} exist solely at the module boundary
-    (constants, DRBG sampling, hex, the point decoder's canonicity
-    check); no arithmetic in here ever allocates a [Bn.t].
+    (constants, DRBG sampling, hex); no arithmetic in here ever
+    allocates a [Bn.t], and the fixed exponents of {!inv} and {!sqrt}
+    are addition chains, not ladders over a [Bn.t] exponent.
 
     The previous [Bn]-backed implementation survives as {!Fe_ref} and
     is differentially tested against this one in test/test_ec.ml. *)
@@ -425,31 +426,74 @@ let equal (a : t) (b : t) : bool =
 let is_zero (a : t) : bool = Monet_util.Bytes_ext.ct_equal (to_bytes_le a) zero_bytes
 let is_odd (a : t) : bool = Char.code (to_bytes_le a).[0] land 1 = 1
 
-(* --- Exponentiation (binary ladder over a Bn exponent) --- *)
+(* --- Fixed exponents by addition chains (ref10) ----------------------
 
-let pow (base : t) (e : Bn.t) : t =
-  let n = Bn.num_bits e in
-  let acc = ref one and b = ref base in
-  for i = 0 to n - 1 do
-    if Bn.testbit e i then acc := mul !acc !b;
-    if i < n - 1 then b := sq !b
-  done;
-  !acc
+   Inversion and square roots raise to the fixed exponents p - 2 and
+   (p - 5)/8. Both share ref10's chain up to z^(2^250 - 1), runs of
+   in-place squarings joined by 10 multiplications: 254 squarings + 11
+   multiplications in all for p - 2, 251 + 11 for (p - 5)/8. *)
 
-let inv (a : t) : t = pow a (Bn.sub p (Bn.of_int 2))
+let m_inv = Monet_obs.Metrics.counter "ec.fe_inv"
+
+(* d <- a^(2^n), n >= 1; [d] may alias [a]. *)
+let sq_n_into (d : t) (a : t) (n : int) : unit =
+  sq_into d a;
+  for _ = 2 to n do
+    sq_into d d
+  done
+
+(* (z^(2^250 - 1), z^11) in fresh buffers. *)
+let chain_250 (z : t) : t * t =
+  let t0 = alloc () and t1 = alloc () and t2 = alloc () in
+  sq_into t0 z (* z^2 *);
+  sq_n_into t1 t0 2 (* z^8 *);
+  mul_into t1 z t1 (* z^9 *);
+  mul_into t0 t0 t1 (* z^11 *);
+  let z11 = copy t0 in
+  sq_into t0 t0 (* z^22 *);
+  mul_into t0 t1 t0 (* z^(2^5 - 1) *);
+  sq_n_into t1 t0 5;
+  mul_into t0 t1 t0 (* z^(2^10 - 1) *);
+  sq_n_into t1 t0 10;
+  mul_into t1 t1 t0 (* z^(2^20 - 1) *);
+  sq_n_into t2 t1 20;
+  mul_into t1 t2 t1 (* z^(2^40 - 1) *);
+  sq_n_into t1 t1 10;
+  mul_into t0 t1 t0 (* z^(2^50 - 1) *);
+  sq_n_into t1 t0 50;
+  mul_into t1 t1 t0 (* z^(2^100 - 1) *);
+  sq_n_into t2 t1 100;
+  mul_into t1 t2 t1 (* z^(2^200 - 1) *);
+  sq_n_into t1 t1 50;
+  mul_into t0 t1 t0 (* z^(2^250 - 1) *);
+  (t0, z11)
+
+(** [inv a] = a^(p-2) = a⁻¹, and [inv zero] = zero. Bumps [ec.fe_inv]. *)
+let inv (a : t) : t =
+  Monet_obs.Metrics.bump m_inv;
+  let t0, z11 = chain_250 a in
+  sq_n_into t0 t0 5;
+  mul_into t0 t0 z11 (* z^(2^255 - 21) = z^(p - 2) *);
+  t0
+
+(** [pow_p58 a] = a^((p-5)/8), the exponent behind square roots mod p. *)
+let pow_p58 (a : t) : t =
+  let t0, _ = chain_250 a in
+  sq_n_into t0 t0 2;
+  mul_into t0 t0 a (* z^(2^252 - 3) *);
+  t0
 
 (* --- Curve constants --- *)
 
 let d = of_hex "52036cee2b6ffe738cc740797779e89800700a4d4141d8ab75eb4dca135978a3"
 let sqrt_m1 = of_hex "2b8324804fc1df0b2b4d00993dfbd7a72f431806ad2fe478c4ee1b274a0ea0b0"
 
-(** Square root mod p (p = 5 mod 8): candidate = a^((p+3)/8), fixed up
-    by sqrt(-1) when needed. Returns [None] if [a] is a non-residue. *)
+(** Square root mod p (p = 5 mod 8): candidate = a^((p+3)/8)
+    = a·a^((p-5)/8), fixed up by sqrt(-1) when needed. Returns [None]
+    if [a] is a non-residue. *)
 let sqrt (a : t) : t option =
-  let e = Bn.shift_right_bits (Bn.add p (Bn.of_int 3)) 3 in
-  let x = pow a e in
-  let x2 = sq x in
-  if equal x2 a then Some x
+  let x = mul a (pow_p58 a) in
+  if equal (sq x) a then Some x
   else begin
     let x' = mul x sqrt_m1 in
     if equal (sq x') a then Some x' else None

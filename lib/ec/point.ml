@@ -312,8 +312,8 @@ let m_msm_terms = Monet_obs.Metrics.counter "ec.point_msm_terms"
 
 (** Normalize many points to Z = 1 with one shared field inversion
     (Montgomery's trick): ~3 field multiplications per point instead
-    of one ~30-squaring inversion each. The returned points are equal
-    to the inputs as group elements. *)
+    of one inversion (254 squarings + 11 multiplications) each. The
+    returned points are equal to the inputs as group elements. *)
 let normalize_batch (ps : t array) : t array =
   let n = Array.length ps in
   let prefix = Array.make n Fe.one in
@@ -550,34 +550,50 @@ let encode (p : t) : string =
 
 (** Encode many points with one shared field inversion (Montgomery's
     trick: prefix-product the Zᵢ, invert the total, walk back). A
-    single {!Fe.inv} is ~30 field squarings' worth of work, so batch
-    verifiers that hash dozens of points into challenges pay ~3 field
-    multiplications per point here instead of one inversion each. *)
+    single {!Fe.inv} is 254 squarings + 11 multiplications, so provers
+    and verifiers that hash dozens of points into challenges pay ~3
+    field multiplications per point here instead of one inversion
+    each. *)
 let encode_batch (ps : t array) : string array =
   Array.map (fun (p : t) -> encode_affine p.x p.y) (normalize_batch ps)
 
+(* The 19 non-canonical y encodings are p .. 2^255 - 1: bits 248..254
+   all set (top byte 0x7f once the sign is masked), bytes 30..1 all
+   0xff, byte 0 >= 0xed. *)
+let y_non_canonical (s : string) : bool =
+  Char.code s.[31] land 0x7f = 0x7f
+  && Char.code s.[0] >= 0xed
+  &&
+  let rec ff i = i > 30 || (s.[i] = '\xff' && ff (i + 1)) in
+  ff 1
+
+(** RFC 8032 §5.1.3: x² = u/v with u = y² - 1, v = d·y² + 1 (never 0),
+    recovered by one exponentiation as x = u·v³·(u·v⁷)^((p-5)/8),
+    without a separate inversion, then fixed up by sqrt(-1) when
+    v·x² = -u. Rejects non-canonical y, non-squares, and x = 0 with the
+    sign bit set. *)
 let decode (s : string) : t option =
-  if String.length s <> 32 then None
+  if String.length s <> 32 || y_non_canonical s then None
   else begin
     let sign = Char.code s.[31] lsr 7 = 1 in
-    let ybytes =
-      String.init 32 (fun i -> if i = 31 then Char.chr (Char.code s.[31] land 0x7f) else s.[i])
+    let y = Fe.of_bytes32 s in
+    let y2 = Fe.sq y in
+    let u = Fe.sub y2 Fe.one and v = Fe.add (Fe.mul Fe.d y2) Fe.one in
+    let v3 = Fe.mul (Fe.sq v) v in
+    let x = Fe.mul (Fe.mul u v3) (Fe.pow_p58 (Fe.mul u (Fe.mul (Fe.sq v3) v))) in
+    let vx2 = Fe.mul v (Fe.sq x) in
+    let root =
+      if Fe.equal vx2 u then Some x
+      else if Fe.equal vx2 (Fe.neg u) then Some (Fe.mul x Fe.sqrt_m1)
+      else None
     in
-    if Bn.compare (Bn.of_bytes_le ybytes) Fe.p >= 0 then None
-    else begin
-      let y = Fe.of_bytes_le ybytes in
-      let y2 = Fe.sq y in
-      let u = Fe.sub y2 Fe.one and v = Fe.add (Fe.mul Fe.d y2) Fe.one in
-      (* x² = u/v *)
-      match Fe.sqrt (Fe.mul u (Fe.inv v)) with
-      | None -> None
-      | Some x ->
-          if Fe.is_zero x && sign then None
-          else begin
-            let x = if Fe.is_odd x <> sign then Fe.neg x else x in
-            Some (of_affine x y)
-          end
-    end
+    match root with
+    | None -> None
+    | Some x ->
+        if Fe.is_zero x && sign then None
+        else
+          let x = if Fe.is_odd x <> sign then Fe.neg x else x in
+          Some (of_affine x y)
   end
 
 let decode_exn (s : string) : t =

@@ -37,46 +37,58 @@ type proof = { reps : rep array }
 
 let size (p : proof) : int = 4 + (Array.length p.reps * (32 + 32 + response_bytes))
 
+(* [| t₀; u₀; t₁; u₁; … |] *)
+let commitments (reps : rep array) : Point.t array =
+  Array.init (2 * Array.length reps) (fun i ->
+      let r = reps.(i / 2) in
+      if i land 1 = 0 then r.t else r.u)
+
+(* [| Y; Y'; t₀; u₀; … |] encoded with one shared field inversion: the
+   strings both the Fiat–Shamir transcript and the batch randomizers
+   hash. *)
+let encodings ~(y : Point.t) ~(y' : Point.t) (reps : rep array) : string array =
+  Point.encode_batch (Array.append [| y; y' |] (commitments reps))
+
 let encode (w : Monet_util.Wire.writer) (p : proof) =
   Monet_util.Wire.write_u32 w (Array.length p.reps);
-  Array.iter
-    (fun r ->
-      Monet_util.Wire.write_fixed w (Point.encode r.t);
-      Monet_util.Wire.write_fixed w (Point.encode r.u);
+  let enc = Point.encode_batch (commitments p.reps) in
+  Array.iteri
+    (fun j r ->
+      Monet_util.Wire.write_fixed w enc.(2 * j);
+      Monet_util.Wire.write_fixed w enc.((2 * j) + 1);
       Monet_util.Wire.write_fixed w (Bn.to_bytes_le r.resp ~len:response_bytes))
     p.reps
 
 let decode (r : Monet_util.Wire.reader) : proof option =
+  let ( let* ) = Option.bind in
+  let point () = Point.decode (Monet_util.Wire.read_fixed r 32) in
+  let rec reps j acc =
+    if j = 0 then Some { reps = Array.of_list (List.rev acc) }
+    else
+      let* t = point () in
+      let* u = point () in
+      let resp = Bn.of_bytes_le (Monet_util.Wire.read_fixed r response_bytes) in
+      reps (j - 1) ({ t; u; resp } :: acc)
+  in
   try
     let n = Monet_util.Wire.read_u32 r in
-    if n > 4096 then None
-    else
-      let reps =
-        Array.init n (fun _ ->
-            let t = Point.decode_exn (Monet_util.Wire.read_fixed r 32) in
-            let u = Point.decode_exn (Monet_util.Wire.read_fixed r 32) in
-            let resp = Bn.of_bytes_le (Monet_util.Wire.read_fixed r response_bytes) in
-            { t; u; resp })
-      in
-      Some { reps }
-  with _ -> None
+    if n > 4096 then None else reps n []
+  with Monet_util.Wire.Truncated -> None
 
-let absorb_statement tr ~h ~y ~y' =
-  Transcript.absorb tr ~label:"h" (Sc.to_bytes_le h);
-  Transcript.absorb_point tr ~label:"Y" y;
-  Transcript.absorb_point tr ~label:"Y'" y'
-
-let challenge_bits ~context ~h ~y ~y' (commitments : (Point.t * Point.t) array) :
-    bool array =
+(* The challenge bits over {!encodings}: ctx, h, Y, Y', then every
+   (tⱼ, uⱼ). *)
+let challenge_bits ~context ~h (enc : string array) : bool array =
   let tr = Transcript.create "stadler" in
   Transcript.absorb tr ~label:"ctx" context;
-  absorb_statement tr ~h ~y ~y';
-  Array.iter
-    (fun (t, u) ->
-      Transcript.absorb_point tr ~label:"t" t;
-      Transcript.absorb_point tr ~label:"u" u)
-    commitments;
-  Transcript.challenge_bits tr ~label:"bits" (Array.length commitments)
+  Transcript.absorb tr ~label:"h" (Sc.to_bytes_le h);
+  Transcript.absorb tr ~label:"Y" enc.(0);
+  Transcript.absorb tr ~label:"Y'" enc.(1);
+  let n = (Array.length enc - 2) / 2 in
+  for j = 0 to n - 1 do
+    Transcript.absorb tr ~label:"t" enc.(2 + (2 * j));
+    Transcript.absorb tr ~label:"u" enc.(3 + (2 * j))
+  done;
+  Transcript.challenge_bits tr ~label:"bits" n
 
 (** [prove g ~x ~h] proves consecutiveness of Y = x·G and
     Y' = (h^x)·G. The caller supplies the witness [x] only; statements
@@ -92,20 +104,14 @@ let prove ?(context = "") ?(reps = default_reps) (g : Monet_hash.Drbg.t) ~(x : S
     if Bn.compare r x < 0 then sample () else r
   in
   let rs = Array.init reps (fun _ -> sample ()) in
-  let commitments =
+  let committed =
     Array.map
-      (fun r ->
-        let t = Point.mul_base (Zl.pow h r) in
-        let u = Point.mul_base (Sc.of_bn r) in
-        (t, u))
+      (fun r -> { t = Point.mul_base (Zl.pow h r); u = Point.mul_base (Sc.of_bn r); resp = r })
       rs
   in
-  let bits = challenge_bits ~context ~h ~y ~y' commitments in
+  let bits = challenge_bits ~context ~h (encodings ~y ~y' committed) in
   let reps_out =
-    Array.init reps (fun j ->
-        let t, u = commitments.(j) in
-        let resp = if bits.(j) then Bn.sub rs.(j) x else rs.(j) in
-        { t; u; resp })
+    Array.mapi (fun j c -> if bits.(j) then { c with resp = Bn.sub c.resp x } else c) committed
   in
   ({ reps = reps_out }, y, y')
 
@@ -114,8 +120,7 @@ let verify ?(context = "") ~(h : Sc.t) ~(y : Point.t) ~(y' : Point.t) (p : proof
   let n = Array.length p.reps in
   n > 0
   &&
-  let commitments = Array.map (fun r -> (r.t, r.u)) p.reps in
-  let bits = challenge_bits ~context ~h ~y ~y' commitments in
+  let bits = challenge_bits ~context ~h (encodings ~y ~y' p.reps) in
   let check j =
     let { t; u; resp } = p.reps.(j) in
     if bits.(j) then
@@ -130,6 +135,23 @@ let verify ?(context = "") ~(h : Sc.t) ~(y : Point.t) ~(y' : Point.t) (p : proof
   let rec go j = j >= n || (check j && go (j + 1)) in
   go 0
 
+(* ℓ·P = O for every distinct statement point, each checked once: in a
+   chain Y'ᵢ = Yᵢ₊₁, so n steps pay n + 1 checks. *)
+let statements_in_subgroup (batch : (Point.t * Point.t * proof) array)
+    (encs : string array array) : bool =
+  let checked = Hashtbl.create (2 * Array.length batch) in
+  let in_subgroup enc pt =
+    Hashtbl.mem checked enc
+    || (Point.in_prime_subgroup pt && (Hashtbl.replace checked enc (); true))
+  in
+  let rec go i =
+    i >= Array.length batch
+    ||
+    let y, y', _ = batch.(i) in
+    in_subgroup encs.(i).(0) y && in_subgroup encs.(i).(1) y' && go (i + 1)
+  in
+  go 0
+
 (** Batch-verify step proofs sharing one public base [h] (a
     channel-open burst or a published chain: same pp, many (Y, Y')
     statements). Every per-repetition equation is a group identity —
@@ -140,8 +162,15 @@ let verify ?(context = "") ~(h : Sc.t) ~(y : Point.t) ~(y' : Point.t) (p : proof
     (Y, Y') per proof, with the G leg paid once as a fixed-base comb
     multiplication. The modular exponentiations h^resp are inherent
     (one per repetition, batched or not) and are served by {!Zl}'s
-    per-base comb tables. Accepts iff every individual {!verify}
-    accepts, except with probability 2⁻¹²⁸ per batch. *)
+    per-base comb tables. Each proof's points are encoded once, for
+    both its transcript and the randomizer seed.
+
+    The fold scales each statement's residue by a randomizer sum mod
+    ℓ, which kills a residue of order 8 about once in eight tries, so
+    every distinct Y and Y' must first pass ℓ·P = O. Past that check
+    only the prime-order part of each equation is tested: a
+    small-order term on a commitment can go unseen, but it cannot make
+    a false statement pass. *)
 let verify_batch ?(context = "") ~(h : Sc.t)
     (batch : (Point.t * Point.t * proof) array) : bool =
   let np = Array.length batch in
@@ -149,21 +178,27 @@ let verify_batch ?(context = "") ~(h : Sc.t)
   else
     Array.for_all (fun (_, _, p) -> Array.length p.reps > 0) batch
     &&
+    let encs = Array.map (fun (y, y', p) -> encodings ~y ~y' p.reps) batch in
+    statements_in_subgroup batch encs
+    &&
     let total_reps =
       Array.fold_left (fun acc (_, _, p) -> acc + Array.length p.reps) 0 batch
     in
     let parts =
-      List.concat_map
-        (fun (y, y', p) ->
-          Point.encode y :: Point.encode y'
-          :: List.concat_map
-               (fun r ->
-                 [
-                   Point.encode r.t; Point.encode r.u;
-                   Bn.to_bytes_le r.resp ~len:response_bytes;
-                 ])
-               (Array.to_list p.reps))
-        (Array.to_list batch)
+      List.concat
+        (List.mapi
+           (fun i (_, _, p) ->
+             let enc = encs.(i) in
+             enc.(0) :: enc.(1)
+             :: List.concat
+                  (List.mapi
+                     (fun j r ->
+                       [
+                         enc.(2 + (2 * j)); enc.(3 + (2 * j));
+                         Bn.to_bytes_le r.resp ~len:response_bytes;
+                       ])
+                     (Array.to_list p.reps)))
+           (Array.to_list batch))
     in
     let zs =
       Schnorr.randomizers ~tag:"stadler"
@@ -178,10 +213,9 @@ let verify_batch ?(context = "") ~(h : Sc.t)
       incr pos
     in
     let zbase = ref 0 in
-    Array.iter
-      (fun (y, y', p) ->
-        let commitments = Array.map (fun r -> (r.t, r.u)) p.reps in
-        let bits = challenge_bits ~context ~h ~y ~y' commitments in
+    Array.iteri
+      (fun i (y, y', p) ->
+        let bits = challenge_bits ~context ~h encs.(i) in
         let y_coeff = ref Sc.zero and y'_coeff = ref Sc.zero in
         Array.iteri
           (fun j { t; u; resp } ->

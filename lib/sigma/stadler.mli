@@ -20,6 +20,8 @@ type proof = { reps : rep array }
 val size : proof -> int
 val encode : Monet_util.Wire.writer -> proof -> unit
 val decode : Monet_util.Wire.reader -> proof option
+(** [None] on truncated input, a non-canonical or off-curve point, or
+    more than 4096 repetitions; never raises. *)
 
 val prove :
   ?context:string ->
@@ -36,7 +38,13 @@ val verify :
 
 val verify_batch :
   ?context:string -> h:Sc.t -> (Point.t * Point.t * proof) array -> bool
-(** [verify_batch ~h [| (y, y', proof); … |]] folds every repetition
-    equation of every proof into one multi-scalar multiplication via a
-    random linear combination (DESIGN.md §3.10). Accepts iff each
-    individual {!verify} accepts, except with probability 2⁻¹²⁸. *)
+(** [verify_batch ~h [| (y, y', proof); … |]] rejects unless every
+    distinct Y and Y' lies in the prime-order subgroup (ℓ·P = O), then
+    folds every repetition equation of every proof into one
+    multi-scalar multiplication via a random linear combination
+    (DESIGN.md §3.10). Past the subgroup check it accepts iff the
+    prime-order part of every repetition equation holds, except with
+    probability 2⁻¹²⁸ per batch: it accepts the statements {!verify}
+    accepts. A small-order term on a commitment tⱼ or uⱼ can go
+    unseen, where {!verify} rejects it; such a term cannot make a false
+    statement pass. *)

@@ -43,8 +43,9 @@ val c_vrfy : pp:Sc.t -> prev:Point.t -> next:Point.t -> proof -> bool
 val c_vrfy_batch : pp:Sc.t -> (Point.t * Point.t * proof) array -> bool
 (** Batched CVrfy across (prev, next, proof) triples under one pp:
     a single multi-scalar multiplication replaces per-step
-    verification (accepts iff every {!c_vrfy} accepts, except with
-    probability 2⁻¹²⁸). *)
+    verification. It rejects any statement outside the prime-order
+    subgroup, and otherwise accepts the steps every {!c_vrfy} accepts,
+    except with probability 2⁻¹²⁸ ({!Monet_sigma.Stadler.verify_batch}). *)
 
 val opens : Point.t -> Sc.t -> bool
 (** Does a bare witness open a statement (Y = y·G)? *)

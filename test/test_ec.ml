@@ -287,6 +287,117 @@ let test_rfc8032_pubkeys () =
       | Some q -> Alcotest.(check bool) "decode matches" true (Point.equal pk q))
     rfc8032_vectors
 
+(* --- Fixed-exponent chains vs the reference field ---
+
+   Fe.inv and Fe.pow_p58 are ref10 addition chains; Fe_ref still raises
+   to p - 2 and (p - 5)/8 by a ladder over a Bn exponent, so the two
+   share no code past the limb encoding. *)
+
+let p58 = Bn.shift_right_bits (Bn.sub Fe_ref.p (Bn.of_int 5)) 3
+
+let test_fe_chains_vs_ref () =
+  let g = Monet_hash.Drbg.of_int 0xc4a1 in
+  let cases =
+    Array.append
+      [| Fe.zero; Fe.one; Fe.neg Fe.one; Fe.sqrt_m1 |]
+      (Array.init diff_count (fun _ -> Fe.random g))
+  in
+  let residues = ref 0 in
+  Array.iteri
+    (fun i a ->
+      let ar = Fe_ref.of_bytes_le (Fe.to_bytes_le a) in
+      check_fe_pair ~what:"inv" i (Fe_ref.to_bytes_le (Fe_ref.inv ar)) (Fe.to_bytes_le (Fe.inv a));
+      check_fe_pair ~what:"pow (p-5)/8" i
+        (Fe_ref.to_bytes_le (Fe_ref.pow ar p58))
+        (Fe.to_bytes_le (Fe.pow_p58 a));
+      match (Fe_ref.sqrt ar, Fe.sqrt a) with
+      | None, None -> ()
+      | Some r, Some x ->
+          incr residues;
+          check_fe_pair ~what:"sqrt" i (Fe_ref.to_bytes_le r) (Fe.to_bytes_le x)
+      | _ -> Alcotest.failf "fe sqrt disagrees with ref on residuosity at case %d" i)
+    cases;
+  (* About half the random elements are squares: both branches ran. *)
+  Alcotest.(check bool) "residues and non-residues both seen" true
+    (!residues > diff_count / 3 && !residues < 2 * diff_count / 3)
+
+(* The decoder as it was before the RFC 8032 rewrite, over the reference
+   field: y canonical by a Bn compare, then x = sqrt(u·v⁻¹). *)
+let decode_oracle (s : string) : (Fe_ref.t * Fe_ref.t) option =
+  if String.length s <> 32 then None
+  else begin
+    let sign = Char.code s.[31] lsr 7 = 1 in
+    let ybytes =
+      String.init 32 (fun i -> if i = 31 then Char.chr (Char.code s.[31] land 0x7f) else s.[i])
+    in
+    if Bn.compare (Bn.of_bytes_le ybytes) Fe_ref.p >= 0 then None
+    else begin
+      let y = Fe_ref.of_bytes_le ybytes in
+      let y2 = Fe_ref.sq y in
+      let u = Fe_ref.sub y2 Fe_ref.one and v = Fe_ref.add (Fe_ref.mul Fe_ref.d y2) Fe_ref.one in
+      match Fe_ref.sqrt (Fe_ref.mul u (Fe_ref.inv v)) with
+      | None -> None
+      | Some x ->
+          if Fe_ref.is_zero x && sign then None
+          else Some ((if Fe_ref.is_odd x <> sign then Fe_ref.neg x else x), y)
+    end
+  end
+
+let test_decode_vs_oracle () =
+  let g = Monet_hash.Drbg.of_int 0xdec0 in
+  let le32 n = Bn.to_bytes_le n ~len:32 in
+  let with_sign s = String.sub s 0 31 ^ String.make 1 (Char.chr (Char.code s.[31] lor 0x80)) in
+  (* y = p .. 2^255 - 1, the 19 non-canonical encodings. *)
+  let non_canonical = List.init 19 (fun k -> le32 (Bn.add Fe_ref.p (Bn.of_int k))) in
+  (* x = 0 exactly at y = ±1. *)
+  let x_zero = [ le32 Bn.one; le32 (Bn.sub Fe_ref.p Bn.one) ] in
+  let rfc = List.map (fun (_, pk) -> Monet_util.Hex.decode pk) rfc8032_vectors in
+  let fixed = List.concat_map (fun s -> [ s; with_sign s ]) (non_canonical @ x_zero @ rfc) in
+  let inputs = fixed @ List.init diff_count (fun _ -> Monet_hash.Drbg.bytes g 32) in
+  let accepted = ref 0 in
+  List.iteri
+    (fun i s ->
+      match (decode_oracle s, Point.decode s) with
+      | None, None -> ()
+      | Some (x, y), Some p ->
+          incr accepted;
+          let fe v = Fe.of_bytes_le (Fe_ref.to_bytes_le v) in
+          if not (Point.equal p (Point.of_affine (fe x) (fe y))) then
+            Alcotest.failf "decode %d (%s): points differ" i (Monet_util.Hex.encode s)
+      | o, _ ->
+          Alcotest.failf "decode %d (%s): oracle %s, decoder %s" i (Monet_util.Hex.encode s)
+            (if o = None then "rejects" else "accepts")
+            (if o = None then "accepts" else "rejects"))
+    inputs;
+  List.iter
+    (fun s -> Alcotest.(check bool) "non-canonical y rejected" true (Point.decode s = None))
+    (non_canonical @ List.map with_sign non_canonical);
+  Alcotest.(check bool) "x = 0 with the sign bit rejected" true
+    (List.for_all (fun s -> Point.decode (with_sign s) = None) x_zero);
+  Alcotest.(check bool) "random strings: some accepted" true (!accepted > diff_count / 4)
+
+(* Every Point.encode is one inversion, and encode_batch shares one
+   across the whole batch. *)
+let test_fe_inv_counter () =
+  let module M = Monet_obs.Metrics in
+  let c = M.counter "ec.fe_inv" in
+  let g = Monet_hash.Drbg.of_int 0x1c0 in
+  let ps = Array.init 162 (fun _ -> Point.mul_base (Sc.random g)) in
+  let inversions f =
+    let before = M.count c in
+    f ();
+    M.count c - before
+  in
+  M.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      M.disable ();
+      M.reset ())
+    (fun () ->
+      Alcotest.(check int) "Point.encode" 1 (inversions (fun () -> ignore (Point.encode ps.(0))));
+      Alcotest.(check int) "encode_batch of 162 points" 1
+        (inversions (fun () -> ignore (Point.encode_batch ps))))
+
 (* --- Straus double-scalar multiplications --- *)
 
 let test_double_mul () =
@@ -422,6 +533,30 @@ let test_zl_pow_small () =
        (Zl.pow Zl.default_base (Bn.of_int 3))
        (Sc.mul Zl.default_base (Sc.mul Zl.default_base Zl.default_base)))
 
+(* Zl.pow against Barrett square-and-multiply mod ℓ, across the comb's
+   width (384 bits) and past it, where exponents fold mod ℓ - 1. *)
+let test_zl_pow_vs_barrett () =
+  let ctx = Bn.Barrett.create Sc.l in
+  let g = Monet_hash.Drbg.of_int 0x21b in
+  let pow2 k = Bn.shift_left_bits Bn.one k in
+  let random_bits n =
+    let nbytes = (n + 7) / 8 in
+    Bn.shift_right_bits (Bn.of_bytes_le (Monet_hash.Drbg.bytes g nbytes)) ((8 * nbytes) - n)
+  in
+  let fixed =
+    [ Bn.zero; Bn.one; Bn.sub Sc.l Bn.one; Sc.l; Bn.sub (pow2 384) Bn.one; pow2 384 ]
+  in
+  let wide = List.init 20 (fun _ -> Bn.add (pow2 599) (random_bits 599)) in
+  let exps = fixed @ wide @ List.init 1000 (fun _ -> random_bits (Monet_hash.Drbg.int g 513)) in
+  List.iter
+    (fun h ->
+      List.iteri
+        (fun i e ->
+          if not (Sc.equal (Zl.pow h e) (Bn.Barrett.pow_mod ctx h e)) then
+            Alcotest.failf "zl pow mismatch at exponent %d (%d bits)" i (Bn.num_bits e))
+        exps)
+    [ Zl.default_base; Sc.random_nonzero g ]
+
 let tests =
   [
     qtest bn_roundtrip;
@@ -459,4 +594,8 @@ let tests =
     Alcotest.test_case "encode_batch matches encode" `Quick test_encode_batch;
     Alcotest.test_case "zl pow homomorphic" `Quick test_zl_pow_homomorphic;
     Alcotest.test_case "zl pow small" `Quick test_zl_pow_small;
+    Alcotest.test_case "zl pow vs barrett" `Quick test_zl_pow_vs_barrett;
+    Alcotest.test_case "fe inv/pow_p58/sqrt vs ref" `Quick test_fe_chains_vs_ref;
+    Alcotest.test_case "decode vs pre-rfc8032 oracle" `Quick test_decode_vs_oracle;
+    Alcotest.test_case "fe_inv counter" `Quick test_fe_inv_counter;
   ]

@@ -126,6 +126,144 @@ let test_cvrfy_batch () =
       false (Vcof.c_vrfy_batch ~pp corrupt)
   done
 
+(* --- Stadler step proofs: torsion, codec, golden bytes --- *)
+
+module Stadler = Monet_sigma.Stadler
+
+(* A point of order exactly 8: ℓ·P lands in the torsion subgroup. *)
+let order8_point () =
+  let g = Monet_hash.Drbg.of_int 0x7040 in
+  let rec go () =
+    match Point.decode (Monet_hash.Drbg.bytes g 32) with
+    | None -> go ()
+    | Some p ->
+        let t = Point.mul Sc.l p in
+        if Point.is_identity (Point.double (Point.double t)) then go () else t
+  in
+  go ()
+
+(* An honest-witness proof for a false statement: (Y, Y') = (x·G, h^x·G)
+   with the order-8 point [t] added to Y (or to Y'). The transcript is
+   rebuilt exactly as the prover's, so only the torsion term is wrong. *)
+let torsion_proof g ~reps ~h ~on_y' t : Stadler.proof * Point.t * Point.t =
+  let x = Sc.random_nonzero g in
+  let y = Point.mul_base x and y' = Point.mul_base (Zl.pow h x) in
+  let y, y' = if on_y' then (y, Point.add y' t) else (Point.add y t, y') in
+  let rec sample () =
+    let r = Bn.of_bytes_le (Monet_hash.Drbg.bytes g Stadler.response_bytes) in
+    if Bn.compare r x < 0 then sample () else r
+  in
+  let rs = Array.init reps (fun _ -> sample ()) in
+  let cs = Array.map (fun r -> (Point.mul_base (Zl.pow h r), Point.mul_base (Sc.of_bn r))) rs in
+  let tr = Monet_sigma.Transcript.create "stadler" in
+  Monet_sigma.Transcript.absorb tr ~label:"ctx" "";
+  Monet_sigma.Transcript.absorb tr ~label:"h" (Sc.to_bytes_le h);
+  Monet_sigma.Transcript.absorb_point tr ~label:"Y" y;
+  Monet_sigma.Transcript.absorb_point tr ~label:"Y'" y';
+  Array.iter
+    (fun (t, u) ->
+      Monet_sigma.Transcript.absorb_point tr ~label:"t" t;
+      Monet_sigma.Transcript.absorb_point tr ~label:"u" u)
+    cs;
+  let bits = Monet_sigma.Transcript.challenge_bits tr ~label:"bits" reps in
+  let reps =
+    Array.mapi
+      (fun j (t, u) -> { Stadler.t; u; resp = (if bits.(j) then Bn.sub rs.(j) x else rs.(j)) })
+      cs
+  in
+  ({ Stadler.reps }, y, y')
+
+let test_stadler_torsion () =
+  (* The batch fold scales each statement's residue T by a randomizer
+     sum mod ℓ, which is ≡ 0 mod 8 about once in eight tries: without a
+     subgroup check a grinding prover gets a false statement through. *)
+  let h = Vcof.default_pp and t = order8_point () in
+  let g = Monet_hash.Drbg.of_int 0x7041 in
+  let accepted_single = ref 0 and accepted_batch = ref 0 in
+  for i = 0 to 63 do
+    let proof, y, y' = torsion_proof g ~reps:16 ~h ~on_y':(i >= 48) t in
+    if Stadler.verify ~h ~y ~y' proof then incr accepted_single;
+    if Stadler.verify_batch ~h [| (y, y', proof) |] then incr accepted_batch
+  done;
+  Alcotest.(check int) "single verify rejects every torsioned statement" 0 !accepted_single;
+  Alcotest.(check int) "batch verify rejects every torsioned statement" 0 !accepted_batch
+
+let test_stadler_batch_checks_each_statement_once () =
+  (* In a chain Y'ᵢ = Yᵢ₊₁: n steps, n + 1 distinct statements, each
+     one ℓ·P = O check (the batch's only variable-base Point.mul). *)
+  let module M = Monet_obs.Metrics in
+  let pp = Vcof.default_pp and n = 5 in
+  let pairs = Array.make (n + 1) (Vcof.sw_gen drbg) in
+  let steps =
+    Array.init n (fun i ->
+        let next, proof = Vcof.new_sw ~reps:4 drbg pairs.(i) ~pp in
+        pairs.(i + 1) <- next;
+        (pairs.(i).Vcof.stmt, next.Vcof.stmt, proof))
+  in
+  let c = M.counter "ec.point_mul" in
+  M.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      M.disable ();
+      M.reset ())
+    (fun () ->
+      Alcotest.(check bool) "chain accepts" true (Vcof.c_vrfy_batch ~pp steps);
+      Alcotest.(check int) "subgroup checks" (n + 1) (M.count c))
+
+let encode_proof (p : Stadler.proof) : string =
+  let w = Monet_util.Wire.create_writer () in
+  Stadler.encode w p;
+  Monet_util.Wire.contents w
+
+let test_stadler_decode_total () =
+  (* Every input gives None or a proof whose re-encoding is exactly the
+     bytes the decoder consumed; nothing raises. *)
+  let g = Monet_hash.Drbg.of_int 0x5eed in
+  let proof, _, _ = Stadler.prove ~reps:4 g ~x:(Sc.random_nonzero g) ~h:Vcof.default_pp in
+  let s = encode_proof proof in
+  let decode input =
+    let r = Monet_util.Wire.reader_of_string input in
+    match Stadler.decode r with
+    | None -> None
+    | Some p -> Some (p, String.sub input 0 r.Monet_util.Wire.pos)
+  in
+  let check_total what input =
+    match decode input with
+    | Some (p, consumed) when not (String.equal consumed (encode_proof p)) ->
+        Alcotest.failf "%s: decoded proof does not re-encode to its input" what
+    | _ -> ()
+  in
+  Alcotest.(check bool) "valid proof decodes" true (decode s <> None);
+  for k = 0 to String.length s - 1 do
+    if decode (String.sub s 0 k) <> None then Alcotest.failf "truncation at %d accepted" k
+  done;
+  let with_bytes off patch =
+    String.sub s 0 off ^ patch ^ String.sub s (off + String.length patch)
+      (String.length s - off - String.length patch)
+  in
+  Alcotest.(check bool) "32x0xff point rejected" true
+    (decode (with_bytes 4 (String.make 32 '\xff')) = None);
+  Alcotest.(check bool) "4097 repetitions rejected" true
+    (decode (with_bytes 0 (Monet_util.Bytes_ext.le32_of_int 4097)) = None);
+  for i = 1 to 1000 do
+    let b = Bytes.of_string s in
+    let pos = Monet_hash.Drbg.int g (Bytes.length b) in
+    let flip = 1 + Monet_hash.Drbg.int g 255 in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip));
+    check_total (Printf.sprintf "mutation %d" i) (Bytes.to_string b)
+  done
+
+let test_stadler_golden () =
+  (* The proof bytes pin the prover's sampling, commitments and
+     Fiat–Shamir transcript: kernel changes must leave them as is. *)
+  let g = Monet_hash.Drbg.of_int 0x901d in
+  let x = Sc.random_nonzero g in
+  let proof, _, _ = Stadler.prove g ~x ~h:Vcof.default_pp in
+  Alcotest.(check int) "80 repetitions" 80 (Array.length proof.Stadler.reps);
+  Alcotest.(check string) "sha512 of the encoded proof" "7feb2a63fabed249b53db7a487ada1a3a8d67c725100641cc777bcdf72143044\
+     b4b091e1658dda6ba7c940ca24c538a6165bd146a1e7c4dcc7d3e5883e6579ca"
+    (Monet_util.Hex.encode (Monet_hash.Sha512.digest (encode_proof proof)))
+
 (* --- CAS (Algorithm 1, single-signer) --- *)
 
 let test_cas_lifecycle () =
@@ -296,6 +434,11 @@ let tests =
     Alcotest.test_case "chain precompute" `Quick test_chain_precompute_and_verify;
     Alcotest.test_case "chain tamper" `Quick test_chain_tamper_rejected;
     Alcotest.test_case "chain witness-only" `Quick test_chain_witness_only;
+    Alcotest.test_case "stadler torsion statement" `Quick test_stadler_torsion;
+    Alcotest.test_case "stadler batch checks each statement once" `Quick
+      test_stadler_batch_checks_each_statement_once;
+    Alcotest.test_case "stadler decode is total" `Quick test_stadler_decode_total;
+    Alcotest.test_case "stadler golden bytes" `Quick test_stadler_golden;
     Alcotest.test_case "cas lifecycle" `Quick test_cas_lifecycle;
     Alcotest.test_case "2p-clras session" `Quick test_clras_full_session;
     Alcotest.test_case "2p-clras revocation" `Quick test_clras_revocation;

@@ -290,6 +290,95 @@ let test_batch_lsag () =
   Alcotest.(check bool) "lsag batch with one bad walk rejects" false
     (Batch.lsag corrupt)
 
+(* --- Golden bytes of every ring-walk flavour ---
+
+   Seeded sign / pre-sign / adapt outputs over a ring of 11, pinned by
+   the SHA-512 of their wire encodings: any change to a challenge hash,
+   a DRBG draw order or a codec moves a digest. The 2-party RingCT
+   pre-signature has no codec of its own; it is pinned through its
+   MLSAG form adapted by zero (every response byte, the real index
+   aside). *)
+
+let golden_digest enc x =
+  let w = Monet_util.Wire.create_writer () in
+  enc w x;
+  Monet_util.Hex.encode (Monet_hash.Sha512.digest (Monet_util.Wire.contents w))
+
+let test_ring_walk_golden () =
+  let g = Monet_hash.Drbg.of_int 0x601d in
+  let n = 11 in
+  let kp = Sig_core.gen g in
+  let ring = make_ring g ~n ~pi:4 ~vk:kp.vk in
+  let y = Sc.random_nonzero g in
+  let stmt = Stmt.make ~y ~hp:(Two_party.hp_of_vk kp.vk) in
+  let sg = Lsag.sign g ~ring ~pi:4 ~sk:kp.sk ~msg:"golden" in
+  let pre = Lsag.pre_sign g ~ring ~pi:4 ~sk:kp.sk ~msg:"golden" ~stmt in
+  let column () =
+    { Mlsag.p = Point.mul_base (Sc.random_nonzero g);
+      d = Point.mul_base (Sc.random_nonzero g) }
+  in
+  let sk = Sc.random_nonzero g and z = Sc.random_nonzero g in
+  let cols =
+    Array.init n (fun i ->
+        if i = 7 then { Mlsag.p = Point.mul_base sk; d = Point.mul_base z } else column ())
+  in
+  let msg_sg = Mlsag.sign g ~ring:cols ~pi:7 ~sk ~z ~msg:"golden" in
+  let ja, jb =
+    match Two_party.run_jgen (Monet_hash.Drbg.split g "a") (Monet_hash.Drbg.split g "b") with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "jgen: %s" e
+  in
+  let stmt2 = Stmt.make ~y ~hp:ja.Two_party.hp in
+  let ring2 = make_ring g ~n ~pi:2 ~vk:ja.Two_party.vk in
+  let tp =
+    match
+      Two_party.run_psign (Monet_hash.Drbg.split g "n1") (Monet_hash.Drbg.split g "n2")
+        ~alice:ja ~bob:jb ~ring:ring2 ~pi:2 ~msg:"golden" ~stmt:stmt2
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "2p psign: %s" e
+  in
+  let zc = Sc.random_nonzero g in
+  let cols2 =
+    Array.init n (fun i ->
+        if i = 9 then { Mlsag.p = ja.Two_party.vk; d = Point.mul_base zc } else column ())
+  in
+  let tpc =
+    match
+      Two_party_ct.run_psign (Monet_hash.Drbg.split g "c1") (Monet_hash.Drbg.split g "c2")
+        ~alice:ja ~bob:jb ~ring:cols2 ~pi:9 ~msg:"golden" ~stmt:stmt2 ~z:zc
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "2p-ct psign: %s" e
+  in
+  Alcotest.(check (list (pair string string)))
+    "SHA-512 of each encoding"
+    [
+      ( "lsag.sign",
+        "ccc2c4f62a55e116eebf52b3220187cf9656300f62c1f39a2936b5661db5cfedae215825bc063dedb8b2f42e33d35ce0f455d8feb784eba6dc8d58f645408657" );
+      ( "lsag.pre_sign",
+        "5b4a94411406109f2102ea08bcf39a46c82f6bf3373174a6126cff7dd4d17f7375ebba8866a211b7763b099fd5b1ac5a89e2f9d2d79847954882ea2b61036fe7" );
+      ( "lsag.adapt",
+        "983992dc72add24a2139c6a56ada835d001b58b5613293f72fd82cf6bc35602aafbaecaeb53996990b1265b5ea178cfe08d7af1a725e344cd142f9f792f5f4f8" );
+      ( "mlsag.sign",
+        "a2bd4b63a59901ecf2c0b8bec02f009b33b8d3ce283041b20e219822c4cd4fa9783c108cc4189f72a00ea9e5fe574b8329db1266a5a5e7fafdeec8c1696c3365" );
+      ( "two_party.run_psign",
+        "d3e97451c471be2f75ac9856285ee4c5a84ceb3af8929b9b17c4774b0fce7bff89cff0a7c06d6351615989e7f70d379c293eba61804d2afaacf986724ee50e9e" );
+      ( "two_party_ct.run_psign",
+        "9e5d76429eb8715040ca8b8130e8ace7b1badcf7be48f05f22db8be656edb403236535c3a405ab66e1d31daccc98ffcaf9075ddb3ef130a7f021fcf7199d5b8c" );
+      ( "two_party_ct.adapt",
+        "7ba7aa24e19b0373bf5d102eee948f167e75ad30e6c57cb4fbbf41f9d25ddbc4d3065da77008d1d59351323701b1d7e7689e77dfc73c6cf160e04ebfb841b5be" );
+    ]
+    [
+      ("lsag.sign", golden_digest Lsag.encode sg);
+      ("lsag.pre_sign", golden_digest Lsag.encode_pre pre);
+      ("lsag.adapt", golden_digest Lsag.encode (Lsag.adapt pre ~y));
+      ("mlsag.sign", golden_digest Mlsag.encode msg_sg);
+      ("two_party.run_psign", golden_digest Lsag.encode_pre tp);
+      ("two_party_ct.run_psign", golden_digest Mlsag.encode (Two_party_ct.adapt tpc ~y:Sc.zero));
+      ("two_party_ct.adapt", golden_digest Mlsag.encode (Two_party_ct.adapt tpc ~y));
+    ]
+
 let tests =
   [
     Alcotest.test_case "schnorr sign" `Quick test_schnorr_sign;
@@ -310,4 +399,5 @@ let tests =
     Alcotest.test_case "batch sigs sound (adversarial)" `Quick test_batch_sigs_sound;
     Alcotest.test_case "batch pre-signatures" `Quick test_batch_pres;
     Alcotest.test_case "batch lsag (shared Hp)" `Quick test_batch_lsag;
+    Alcotest.test_case "ring walk golden bytes" `Quick test_ring_walk_golden;
   ]

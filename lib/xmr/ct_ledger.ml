@@ -72,11 +72,12 @@ let genesis (c : t) ~(otk : Point.t) ~(amount : int) ~(blind : Sc.t) : int =
 
 let validate (c : t) (tx : ct_tx) : (unit, string) result =
   let msg = prefix tx in
-  let rec check_inputs = function
+  let rec check_inputs seen_kis = function
     | [] -> Ok ()
     | (i : ct_input) :: rest ->
         let ki = Point.encode i.cti_key_image in
         if Hashtbl.mem c.key_images ki then Error "key image spent"
+        else if List.mem ki seen_kis then Error "duplicate key image within tx"
         else if Array.exists (fun r -> r < 0 || r >= c.n) i.cti_ring_refs then
           Error "missing ring member"
         else begin
@@ -91,12 +92,12 @@ let validate (c : t) (tx : ct_tx) : (unit, string) result =
             Error "mlsag invalid"
           else if not (Point.equal i.cti_key_image i.cti_sig.Monet_sig.Mlsag.key_image)
           then Error "key image mismatch"
-          else check_inputs rest
+          else check_inputs (ki :: seen_kis) rest
         end
   in
   if tx.ct_inputs = [] then Error "no inputs"
   else
-    match check_inputs tx.ct_inputs with
+    match check_inputs [] tx.ct_inputs with
     | Error e -> Error e
     | Ok () ->
         if

@@ -223,6 +223,26 @@ let test_ct_multi_input () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "apply: %s" e)
 
+(* One coin passed twice as inputs of one transaction: each key image
+   is unspent on its own, so only the in-transaction check stops the
+   second copy from paying out the coin's value again. *)
+let test_ct_duplicate_key_image_rejected () =
+  let g = Monet_hash.Drbg.split drbg "dupki" in
+  let l = Ct_ledger.create () in
+  for i = 1 to 15 do
+    ignore (fund g l (50 + i))
+  done;
+  let coin = fund g l 100 in
+  let dest = Monet_sig.Sig_core.gen g in
+  match
+    Ct_ledger.spend g l ~coins:[ coin; coin ] ~dest:dest.vk ~amount:200 ~fee:0 ~ring_size:5
+  with
+  | Error e -> Alcotest.fail e
+  | Ok (tx, _) -> (
+      match Ct_ledger.apply l tx with
+      | Ok () -> Alcotest.fail "one coin spent twice in one tx"
+      | Error e -> Alcotest.(check string) "in-tx reuse" "duplicate key image within tx" e)
+
 let tests =
   [
     Alcotest.test_case "mlsag sign/verify" `Quick test_mlsag_sign_verify;
@@ -240,4 +260,5 @@ let tests =
     Alcotest.test_case "ct inflation" `Quick test_ct_inflation_rejected;
     Alcotest.test_case "ct overspend" `Quick test_ct_overspend_rejected;
     Alcotest.test_case "ct multi-input" `Quick test_ct_multi_input;
+    Alcotest.test_case "ct duplicate key image" `Quick test_ct_duplicate_key_image_rejected;
   ]

@@ -597,19 +597,28 @@ let handle (p : party) ~(env : env) ~(rep : Report.t) (m : Msg.t) :
       match p.lock with
       | None -> Error (Errors.Bad_state "unexpected lock opening")
       | Some lk ->
-          let extracted = Monet_sig.Lsag.ext_partial completed lk.lk_presig in
-          if not (Point.equal lk.lk_stmt.Monet_sig.Stmt.yg (Point.mul_base extracted))
-          then Error (Errors.Bad_witness "extracted witness does not open the lock")
-          else begin
-            p.extracted <- Some extracted;
-            p.presig <- completed;
-            p.presig_history <-
-              (p.state, lk.lk_prefix, completed, lk.lk_tx)
-              :: List.filter (fun (s, _, _, _) -> s <> p.state) p.presig_history;
-            p.lock <- None;
-            journal_event p (fun h -> h.jh_state ());
-            Ok []
-          end)
+          (* The opening only carries the witness: it is read at the
+             lock's own real index, and the stored pre-signature is the
+             lock's, adapted here — never the received record. *)
+          let locked = lk.lk_presig in
+          let n = Array.length locked.Monet_sig.Lsag.p_ss and pi = locked.p_pi in
+          if Array.length completed.Monet_sig.Lsag.p_ss <> n || pi < 0 || pi >= n then
+            Error (Errors.Bad_witness "lock opening does not match the locked pre-signature")
+          else
+            let extracted = Sc.sub completed.p_ss.(pi) locked.p_ss.(pi) in
+            if not (Point.equal lk.lk_stmt.Monet_sig.Stmt.yg (Point.mul_base extracted))
+            then Error (Errors.Bad_witness "extracted witness does not open the lock")
+            else begin
+              let opened = Monet_sig.Lsag.partial_adapt locked ~y:extracted in
+              p.extracted <- Some extracted;
+              p.presig <- opened;
+              p.presig_history <-
+                (p.state, lk.lk_prefix, opened, lk.lk_tx)
+                :: List.filter (fun (s, _, _, _) -> s <> p.state) p.presig_history;
+              p.lock <- None;
+              journal_event p (fun h -> h.jh_state ());
+              Ok []
+            end)
   | Await_stmt _, Msg.Commit_nonce _ | Await_nonce _, Msg.Stmt_announce _ ->
       Error (Errors.Bad_state "batch desync between parties")
   | _, m -> Error (Errors.Bad_state ("unexpected message: " ^ Msg.label m))

@@ -222,6 +222,67 @@ let test_lock_cancel () =
       Alcotest.(check int) "alice unchanged" 60 payout.pay_a;
       Alcotest.(check int) "bob unchanged" 40 payout.pay_b
 
+(* A Lock_open carries the payee's completed pre-signature, but the
+   payer keeps only what it derives itself: its own lock pre-signature
+   adapted by the extracted witness. A forged challenge or real index
+   must neither raise nor cost the payer its close at the latest state;
+   a truncated response vector is a typed error. *)
+
+let lock_open_with (label : string) (tamper : Monet_sig.Lsag.pre_signature -> Monet_sig.Lsag.pre_signature) =
+  let _, c, _, _, _ = setup label in
+  let y = Sc.random_nonzero (Monet_hash.Drbg.split drbg (label ^ "/y")) in
+  let lock_stmt = Monet_sig.Stmt.make ~y ~hp:c.a.joint.Tp.hp in
+  (match lock c ~payer:Tp.Alice ~amount:10 ~lock_stmt ~timer:5000 with
+  | Error e -> Alcotest.failf "lock: %s" (err e)
+  | Ok _ -> ());
+  let honest =
+    match Monet_channel.Party.begin_unlock c.b ~y with
+    | Ok [ Monet_channel.Msg.Lock_open p ] -> p
+    | Ok _ -> Alcotest.fail "expected one Lock_open"
+    | Error e -> Alcotest.failf "begin_unlock: %s" (err e)
+  in
+  let r =
+    Monet_channel.Party.handle c.a ~env:c.env ~rep:(Monet_channel.Report.fresh ())
+      (Monet_channel.Msg.Lock_open (tamper honest))
+  in
+  (c, honest, r)
+
+let presig_bytes p =
+  let w = Monet_util.Wire.create_writer () in
+  Monet_sig.Lsag.encode_pre w p;
+  Monet_util.Hex.encode (Monet_util.Wire.contents w)
+
+let test_lock_open_stores_own_presig () =
+  List.iter
+    (fun (label, tamper) ->
+      let c, honest, r = lock_open_with label tamper in
+      (match r with Ok _ -> () | Error e -> Alcotest.failf "%s: %s" label (err e));
+      Alcotest.(check string) (label ^ ": stored pre-signature") (presig_bytes honest)
+        (presig_bytes c.a.presig);
+      (match c.a.presig_history with
+      | (s, _, p, _) :: _ when s = c.a.state ->
+          Alcotest.(check string) (label ^ ": history entry") (presig_bytes honest)
+            (presig_bytes p)
+      | _ -> Alcotest.failf "%s: no history entry for the current state" label);
+      match cooperative_close c with
+      | Error e -> Alcotest.failf "%s: close: %s" label (err e)
+      | Ok (payout, _) ->
+          Alcotest.(check (pair int int)) (label ^ ": payout") (50, 50)
+            (payout.pay_a, payout.pay_b))
+    [ ("lo-honest", Fun.id);
+      ("lo-c0", fun p -> { p with Monet_sig.Lsag.p_c0 = Sc.add p.Monet_sig.Lsag.p_c0 Sc.one });
+      ("lo-pi", fun p -> { p with Monet_sig.Lsag.p_pi = 1000 }) ]
+
+let test_lock_open_truncated_rejected () =
+  let _, _, r =
+    lock_open_with "lo-trunc" (fun p ->
+        { p with Monet_sig.Lsag.p_ss = Array.sub p.Monet_sig.Lsag.p_ss 0 1 })
+  in
+  match r with
+  | Ok _ -> Alcotest.fail "truncated opening accepted"
+  | Error (Monet_channel.Errors.Bad_witness _) -> ()
+  | Error e -> Alcotest.failf "expected Bad_witness, got %s" (err e)
+
 let test_batch_mode () =
   (* The paper's optimization: precompute a batch, then updates skip
      the per-update NewSW/CVrfy and exchange only ~32-byte messages. *)
@@ -400,4 +461,6 @@ let tests =
     Alcotest.test_case "snapshot garbage" `Quick test_snapshot_rejects_garbage;
     Alcotest.test_case "snapshot corruption fuzz" `Quick test_snapshot_corruption_fuzz;
     Alcotest.test_case "splice in" `Quick test_splice_in;
+    Alcotest.test_case "lock open stores own presig" `Quick test_lock_open_stores_own_presig;
+    Alcotest.test_case "lock open truncated" `Quick test_lock_open_truncated_rejected;
   ]

@@ -162,5 +162,5 @@ let lsag (items : lsag_item array) : bool =
         hps
   in
   Array.for_all
-    (fun { ring; l_msg; l_sg } -> Lsag.verify_with_hps ~hps:(hps_of ring) ~ring ~msg:l_msg l_sg)
+    (fun { ring; l_msg; l_sg } -> Lsag.verify ~hps:(hps_of ring) ~ring ~msg:l_msg l_sg)
     items

@@ -6,7 +6,7 @@
     knows both discrete logs at its index π: sk (the one-time output
     key, which gets a key image) and z (the commitment-difference key
     C_π − pseudo-out, which does not). The walk is LSAG's with two
-    L-legs and one R-leg:
+    L-legs and one R-leg — {!Lsag}'s ring walk with k = 2:
 
       L1_i = s1_i·G + c_i·P_i     R_i = s1_i·Hp(P_i) + c_i·I
       L2_i = s2_i·G + c_i·D_i
@@ -27,18 +27,13 @@ type signature = {
   key_image : Point.t;
 }
 
-let challenge msg l1 r l2 =
-  Sc.of_hash "mlsag"
-    [ msg; Point.encode l1; Point.encode r; Point.encode l2 ]
+(** The ring as the walk's two rows: one-time keys, then commitment
+    differences. *)
+let rows (ring : column array) : Point.t array array =
+  [| Array.map (fun col -> col.p) ring; Array.map (fun col -> col.d) ring |]
 
-let step ~msg ~(ring : column array) ~hps ~ki c i s1 s2 =
-  let l1 = Point.double_mul c ring.(i).p s1 in
-  let r = Point.mul2 s1 hps.(i) c ki in
-  let l2 = Point.double_mul c ring.(i).d s2 in
-  challenge msg l1 r l2
-
-let hp_of_ring (ring : column array) : Point.t array =
-  Array.map (fun col -> Point.hash_to_point "lsag-hp" (Point.encode col.p)) ring
+let walk ~(msg : string) (ring : column array) : Lsag.walk =
+  Lsag.walk ~tag:"mlsag" ~msg (rows ring)
 
 (* lint: public: ring msg *)
 (* The ring is the published anonymity set and msg the signed
@@ -53,51 +48,20 @@ let sign (g : Monet_hash.Drbg.t) ~(ring : column array) ~(pi : int) ~(sk : Sc.t)
     invalid_arg "Mlsag.sign: sk does not match ring slot";
   if not (Point.equal ring.(pi).d (Point.mul_base z)) then
     invalid_arg "Mlsag.sign: z does not match commitment slot";
-  let hps = hp_of_ring ring in
-  let ki = Point.mul sk hps.(pi) in
-  let a1 = Sc.random_nonzero g and a2 = Sc.random_nonzero g in
-  let cs = Array.make n Sc.zero in
-  let s1 = Array.make n Sc.zero and s2 = Array.make n Sc.zero in
-  cs.((pi + 1) mod n) <-
-    challenge msg (Point.mul_base a1) (Point.mul a1 hps.(pi)) (Point.mul_base a2);
-  for off = 1 to n - 1 do
-    let i = (pi + off) mod n in
-    s1.(i) <- Sc.random_nonzero g;
-    s2.(i) <- Sc.random_nonzero g;
-    cs.((i + 1) mod n) <- step ~msg ~ring ~hps ~ki cs.(i) i s1.(i) s2.(i)
-  done;
-  s1.(pi) <- Sc.sub a1 (Sc.mul cs.(pi) sk);
-  s2.(pi) <- Sc.sub a2 (Sc.mul cs.(pi) z);
-  { c0 = cs.(0); s1; s2; key_image = ki }
+  let c0, ss, key_image =
+    Lsag.sign_rows g (walk ~msg ring) ~pi ~sks:[| sk; z |] ~stmt:Stmt.zero
+  in
+  { c0; s1 = ss.(0); s2 = ss.(1); key_image }
 
 let verify ~(ring : column array) ~(msg : string) (sg : signature) : bool =
-  let n = Array.length ring in
-  n > 0
-  && Array.length sg.s1 = n
-  && Array.length sg.s2 = n
-  &&
-  let hps = hp_of_ring ring in
-  let c = ref sg.c0 in
-  for i = 0 to n - 1 do
-    c := step ~msg ~ring ~hps ~ki:sg.key_image !c i sg.s1.(i) sg.s2.(i)
-  done;
-  Sc.equal !c sg.c0
+  Lsag.closes (walk ~msg ring) sg.key_image sg.c0 [| sg.s1; sg.s2 |]
 
 let linked (a : signature) (b : signature) : bool =
   Point.equal a.key_image b.key_image
 
 let encode (w : Monet_util.Wire.writer) (sg : signature) =
-  Monet_util.Wire.write_fixed w (Sc.to_bytes_le sg.c0);
-  Monet_util.Wire.write_u32 w (Array.length sg.s1);
-  Array.iter (fun s -> Monet_util.Wire.write_fixed w (Sc.to_bytes_le s)) sg.s1;
-  Array.iter (fun s -> Monet_util.Wire.write_fixed w (Sc.to_bytes_le s)) sg.s2;
-  Monet_util.Wire.write_fixed w (Point.encode sg.key_image)
+  Lsag.encode_walk w sg.c0 [| sg.s1; sg.s2 |] sg.key_image
 
 let decode (r : Monet_util.Wire.reader) : signature =
-  let c0 = Sc.of_bytes_le (Monet_util.Wire.read_fixed r 32) in
-  let n = Monet_util.Wire.read_u32 r in
-  if n > 4096 then invalid_arg "Mlsag.decode: ring too large";
-  let s1 = Array.init n (fun _ -> Sc.of_bytes_le (Monet_util.Wire.read_fixed r 32)) in
-  let s2 = Array.init n (fun _ -> Sc.of_bytes_le (Monet_util.Wire.read_fixed r 32)) in
-  let key_image = Point.decode_exn (Monet_util.Wire.read_fixed r 32) in
-  { c0; s1; s2; key_image }
+  let c0, rows, key_image = Lsag.decode_walk ~name:"Mlsag.decode" ~k:2 r in
+  { c0; s1 = rows.(0); s2 = rows.(1); key_image }

@@ -46,8 +46,7 @@ let key_msg (g : Monet_hash.Drbg.t) : Sc.t * key_msg =
   let pok = Monet_sigma.Schnorr.prove ~context:"2p-jgen" g ~x:sk ~xg:vk in
   (sk, { km_vk = vk; km_pok = pok })
 
-let hp_of_vk (vk : Point.t) : Point.t =
-  Point.hash_to_point "lsag-hp" (Point.encode vk)
+let hp_of_vk = Lsag.hp
 
 (** After exchanging [key_msg]s, derive the joint key and produce the
     key-image share message. *)
@@ -104,59 +103,53 @@ let check_nonce (j : joint) (nm : nonce_msg) : bool =
     ~h2:nm.nm_ri nm.nm_proof
 
 type session = {
-  se_ring : Point.t array;
   se_pi : int;
-  se_msg : string;
-  se_stmt : Stmt.t;
-  se_c : Sc.t array; (* ring challenges *)
-  se_ss : Sc.t array; (* decoy responses (se_ss.(pi) filled at assembly) *)
+  se_c0 : Sc.t;
   se_c_pi : Sc.t; (* challenge at the real index *)
+  se_ss : Sc.t array array; (* responses by row; row 0's real one is filled at assembly *)
   se_key_image : Point.t;
 }
 
 (** Both parties derive the same session deterministically from the
-    exchanged nonces: combined commitments, then decoy responses from a
-    shared coin, then the ring walk up to the real index. *)
-let session (j : joint) ~(ring : Point.t array) ~(pi : int) ~(msg : string)
-    ~(stmt : Stmt.t) ~(mine : nonce_secret) ~(theirs : nonce_msg) :
-    (session, string) result =
-  let n = Array.length ring in
+    exchanged nonces, over the walk [w] of k rows. Row 0 is the joint
+    key, answered by the response shares; rows 1..k−1 hold keys both
+    parties know ([shared]), answered from a shared coin seeded by
+    [coin] = (tag, part) over the message, the combined commitments
+    and part. The coin draws the shared rows' nonces, then the decoy
+    responses, so the walk agrees without extra messages. *)
+let session_rows (j : joint) (w : Lsag.walk) ~coin:((coin_tag, coin_part) : string * string)
+    ~(pi : int) ~(stmt : Stmt.t) ~(shared : Sc.t array) ~(mine : nonce_secret)
+    ~(theirs : nonce_msg) : (session, string) result =
+  let rows = w.Lsag.w_rows in
+  let n = Array.length rows.(0) in
+  let opens i x = Point.equal rows.(i + 1).(pi) (Point.mul_base x) in
   if n = 0 || pi < 0 || pi >= n then Error "bad ring"
-  else if not (Point.equal ring.(pi) j.vk) then Error "ring slot is not the joint key"
+  else if not (Point.equal rows.(0).(pi) j.vk) then Error "ring slot is not the joint key"
+  else if not (Array.for_all Fun.id (Array.mapi opens shared)) then
+    Error "z does not open the commitment slot"
   else if not (check_nonce j theirs) then Error "counterparty nonce: invalid DLEQ"
   else begin
-    let hps = Lsag.hp_of_ring ring in
-    let rg = Point.add (Point.add mine.ns_msg.nm_rg theirs.nm_rg) stmt.Stmt.yg in
-    let ri = Point.add (Point.add mine.ns_msg.nm_ri theirs.nm_ri) stmt.Stmt.yhp in
-    let cs = Array.make n Sc.zero in
-    let ss = Array.make n Sc.zero in
-    cs.((pi + 1) mod n) <- Lsag.challenge msg rg ri;
-    (* Shared coin for decoy responses: both parties compute the same
-       stream, so the walk agrees without extra messages. *)
+    let l0 = Point.add (Point.add mine.ns_msg.nm_rg theirs.nm_rg) stmt.Stmt.yg in
+    let r = Point.add (Point.add mine.ns_msg.nm_ri theirs.nm_ri) stmt.Stmt.yhp in
     let coin =
       Monet_hash.Drbg.create
         ~seed:
-          (Monet_hash.Hash.tagged "2p-decoys"
-             [ msg; Point.encode rg; Point.encode ri; Point.encode j.key_image ])
+          (Monet_hash.Hash.tagged coin_tag
+             [ w.w_msg; Point.encode l0; Point.encode r; coin_part ])
     in
-    for off = 1 to n - 1 do
-      let i = (pi + off) mod n in
-      ss.(i) <- Sc.random_nonzero coin;
-      cs.((i + 1) mod n) <-
-        Lsag.step ~msg ~ring ~hps ~ki:j.key_image cs.(i) i ss.(i)
-    done;
-    Ok
-      {
-        se_ring = ring;
-        se_pi = pi;
-        se_msg = msg;
-        se_stmt = stmt;
-        se_c = cs;
-        se_ss = ss;
-        se_c_pi = cs.(pi);
-        se_key_image = j.key_image;
-      }
+    let nonces = Array.map (fun _ -> Sc.random_nonzero coin) shared in
+    let se_c0, se_c_pi, se_ss =
+      Lsag.open_walk w j.key_image ~pi coin ~l0 ~r ~nonces ~keys:shared
+    in
+    Ok { se_pi = pi; se_c0; se_c_pi; se_ss; se_key_image = j.key_image }
   end
+
+(** The one-row (LSAG) session, its coin seeded over the key image. *)
+let session (j : joint) ~(ring : Point.t array) ~(pi : int) ~(msg : string)
+    ~(stmt : Stmt.t) ~(mine : nonce_secret) ~(theirs : nonce_msg) :
+    (session, string) result =
+  session_rows j (Lsag.ring_walk ~msg ring) ~coin:("2p-decoys", Point.encode j.key_image) ~pi
+    ~stmt ~shared:[||] ~mine ~theirs
 
 (** My response share ẑ_P = r_P - c_π·sk_P. *)
 let z_share (j : joint) (se : session) (mine : nonce_secret) : Sc.t =
@@ -171,15 +164,12 @@ let check_z_share (j : joint) (se : session) ~(their_nonce : nonce_msg) ~(z : Sc
   && Point.equal (Point.mul2 z j.hp se.se_c_pi j.their_ki) their_nonce.nm_ri
 
 let assemble (se : session) ~(my_z : Sc.t) ~(their_z : Sc.t) : Lsag.pre_signature =
-  let ss = Array.copy se.se_ss in
+  let ss = Array.copy se.se_ss.(0) in
   ss.(se.se_pi) <- Sc.add my_z their_z;
-  { Lsag.p_c0 = se.se_c.(0); p_ss = ss; p_key_image = se.se_key_image; p_pi = se.se_pi }
+  { Lsag.p_c0 = se.se_c0; p_ss = ss; p_key_image = se.se_key_image; p_pi = se.se_pi }
 
-(* --- Local driver: runs both sides, returning the pre-signature and
-   the number of protocol messages exchanged (used by tests, benches
-   and the simulator). --- *)
-
-type message_count = { jgen_msgs : int; psign_msgs : int }
+(* --- Local driver: runs both sides in-process (used by tests,
+   benches and the simulator). --- *)
 
 let run_jgen (ga : Monet_hash.Drbg.t) (gb : Monet_hash.Drbg.t) :
     (joint * joint, string) result =
@@ -197,14 +187,14 @@ let run_jgen (ga : Monet_hash.Drbg.t) (gb : Monet_hash.Drbg.t) :
       | Error e, _ | _, Error e -> Error e)
   | Error e, _ | _, Error e -> Error e
 
-let run_psign (ga : Monet_hash.Drbg.t) (gb : Monet_hash.Drbg.t) ~(alice : joint)
-    ~(bob : joint) ~(ring : Point.t array) ~(pi : int) ~(msg : string)
-    ~(stmt : Stmt.t) : (Lsag.pre_signature, string) result =
+(** Both sides of one pre-signing in-process: the nonce exchange, each
+    party's [session], then each party's check of the other's response
+    share before [assemble]. *)
+let run_sessions (ga : Monet_hash.Drbg.t) (gb : Monet_hash.Drbg.t) ~(alice : joint)
+    ~(bob : joint) ~(session : joint -> nonce_secret -> nonce_msg -> (session, string) result)
+    ~(assemble : session -> my_z:Sc.t -> their_z:Sc.t -> 'p) : ('p, string) result =
   let na = nonce ga alice and nb = nonce gb bob in
-  match
-    ( session alice ~ring ~pi ~msg ~stmt ~mine:na ~theirs:nb.ns_msg,
-      session bob ~ring ~pi ~msg ~stmt ~mine:nb ~theirs:na.ns_msg )
-  with
+  match (session alice na nb.ns_msg, session bob nb na.ns_msg) with
   | Ok sa, Ok sb ->
       let za = z_share alice sa na and zb = z_share bob sb nb in
       if not (check_z_share alice sa ~their_nonce:nb.ns_msg ~z:zb) then
@@ -213,6 +203,12 @@ let run_psign (ga : Monet_hash.Drbg.t) (gb : Monet_hash.Drbg.t) ~(alice : joint)
         Error "alice's response share failed verification"
       else Ok (assemble sa ~my_z:za ~their_z:zb)
   | Error e, _ | _, Error e -> Error e
+
+let run_psign (ga : Monet_hash.Drbg.t) (gb : Monet_hash.Drbg.t) ~(alice : joint)
+    ~(bob : joint) ~(ring : Point.t array) ~(pi : int) ~(msg : string)
+    ~(stmt : Stmt.t) : (Lsag.pre_signature, string) result =
+  run_sessions ga gb ~alice ~bob ~assemble ~session:(fun j mine theirs ->
+      session j ~ring ~pi ~msg ~stmt ~mine ~theirs)
 
 (* Wire encodings for the protocol messages (used to measure
    communication overhead, experiment E3). *)

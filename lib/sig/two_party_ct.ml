@@ -6,157 +6,47 @@
     is the commitment-difference key z = blind − pseudo_blind.
 
     Between channel partners z is not a secret: both co-created the
-    funding output and the pseudo-output, so both know z. Row 2 can
-    therefore be computed from the shared coin, and only row 1 needs
-    the interactive nonce/response shares — the protocol keeps the
-    4-message shape of {!Two_party}. Adaptor statements shift row 1
-    exactly as in the plain LSAG case. *)
+    funding output and the pseudo-output, so both know z. Row 2 is
+    therefore a shared row of {!Two_party}'s session, answered from the
+    shared coin, and only row 1 needs the interactive nonce/response
+    shares — the protocol keeps the 4-message shape of {!Two_party},
+    whose [z_share] and [check_z_share] apply unchanged. Adaptor
+    statements shift row 1 exactly as in the plain LSAG case. *)
 
 open Monet_ec
 
-type session = {
-  cs_ring : Mlsag.column array;
-  cs_pi : int;
-  cs_msg : string;
-  cs_stmt : Stmt.t;
-  cs_c : Sc.t array;
-  cs_s1 : Sc.t array; (* decoy row-1 responses *)
-  cs_s2 : Sc.t array; (* all row-2 responses, incl. the real one *)
-  cs_c_pi : Sc.t;
-  cs_key_image : Point.t;
-}
-
-type pre_signature = {
-  pc_c0 : Sc.t;
-  pc_s1 : Sc.t array;
-  pc_s2 : Sc.t array;
-  pc_key_image : Point.t;
-  pc_pi : int;
-}
+(** {!Two_party}'s pre-signature over row 1, plus the shared row. *)
+type pre_signature = { pc_pre : Lsag.pre_signature; pc_s2 : Sc.t array }
 
 (** Both parties derive the same session from the exchanged nonces
     plus the shared row-2 key [z]. *)
 let session (j : Two_party.joint) ~(ring : Mlsag.column array) ~(pi : int)
     ~(msg : string) ~(stmt : Stmt.t) ~(z : Sc.t) ~(mine : Two_party.nonce_secret)
-    ~(theirs : Two_party.nonce_msg) : (session, string) result =
-  let n = Array.length ring in
-  if n = 0 || pi < 0 || pi >= n then Error "bad ring"
-  else if not (Point.equal ring.(pi).Mlsag.p j.Two_party.vk) then
-    Error "ring slot is not the joint key"
-  else if not (Point.equal ring.(pi).Mlsag.d (Point.mul_base z)) then
-    Error "z does not open the commitment slot"
-  else if not (Two_party.check_nonce j theirs) then Error "bad counterparty nonce"
-  else begin
-    let hps = Mlsag.hp_of_ring ring in
-    let ki = j.Two_party.key_image in
-    let l1 =
-      Point.add
-        (Point.add mine.Two_party.ns_msg.Two_party.nm_rg theirs.Two_party.nm_rg)
-        stmt.Stmt.yg
-    in
-    let r1 =
-      Point.add
-        (Point.add mine.Two_party.ns_msg.Two_party.nm_ri theirs.Two_party.nm_ri)
-        stmt.Stmt.yhp
-    in
-    (* Row-2 nonce from the shared coin (z is common knowledge). *)
-    let coin =
-      Monet_hash.Drbg.create
-        ~seed:
-          (Monet_hash.Hash.tagged "2p-ct-coin"
-             [ msg; Point.encode l1; Point.encode r1; Sc.to_bytes_le z ])
-    in
-    let a2 = Sc.random_nonzero coin in
-    let cs = Array.make n Sc.zero in
-    let s1 = Array.make n Sc.zero and s2 = Array.make n Sc.zero in
-    cs.((pi + 1) mod n) <- Mlsag.challenge msg l1 r1 (Point.mul_base a2);
-    for off = 1 to n - 1 do
-      let i = (pi + off) mod n in
-      s1.(i) <- Sc.random_nonzero coin;
-      s2.(i) <- Sc.random_nonzero coin;
-      cs.((i + 1) mod n) <- Mlsag.step ~msg ~ring ~hps ~ki cs.(i) i s1.(i) s2.(i)
-    done;
-    s2.(pi) <- Sc.sub a2 (Sc.mul cs.(pi) z);
-    Ok
-      {
-        cs_ring = ring; cs_pi = pi; cs_msg = msg; cs_stmt = stmt; cs_c = cs;
-        cs_s1 = s1; cs_s2 = s2; cs_c_pi = cs.(pi); cs_key_image = ki;
-      }
-  end
-
-let z_share (j : Two_party.joint) (se : session) (mine : Two_party.nonce_secret) : Sc.t
-    =
-  Sc.sub mine.Two_party.ns_r (Sc.mul se.cs_c_pi j.Two_party.my_sk)
-
-let check_z_share (j : Two_party.joint) (se : session)
-    ~(their_nonce : Two_party.nonce_msg) ~(z : Sc.t) : bool =
-  Point.equal
-    (Point.double_mul se.cs_c_pi j.Two_party.their_vk z)
-    their_nonce.Two_party.nm_rg
-  && Point.equal
-       (Point.mul2 z j.Two_party.hp se.cs_c_pi j.Two_party.their_ki)
-       their_nonce.Two_party.nm_ri
-
-let assemble (se : session) ~(my_z : Sc.t) ~(their_z : Sc.t) : pre_signature =
-  let s1 = Array.copy se.cs_s1 in
-  s1.(se.cs_pi) <- Sc.add my_z their_z;
-  { pc_c0 = se.cs_c.(0); pc_s1 = s1; pc_s2 = se.cs_s2; pc_key_image = se.cs_key_image;
-    pc_pi = se.cs_pi }
+    ~(theirs : Two_party.nonce_msg) : (Two_party.session, string) result =
+  Two_party.session_rows j (Mlsag.walk ~msg ring) ~coin:("2p-ct-coin", Sc.to_bytes_le z) ~pi
+    ~stmt ~shared:[| z |] ~mine ~theirs
 
 (** Pre-verification: the MLSAG walk closes with row 1 offset by the
     statement at the real index. *)
 let pre_verify ~(ring : Mlsag.column array) ~(msg : string) ~(stmt : Stmt.t)
     (p : pre_signature) : bool =
-  let n = Array.length ring in
-  n > 0
-  && Array.length p.pc_s1 = n
-  && Array.length p.pc_s2 = n
-  && p.pc_pi >= 0
-  && p.pc_pi < n
-  &&
-  let hps = Mlsag.hp_of_ring ring in
-  let c = ref p.pc_c0 in
-  for i = 0 to n - 1 do
-    if i = p.pc_pi then begin
-      let l1 =
-        Point.add (Point.double_mul !c ring.(i).Mlsag.p p.pc_s1.(i)) stmt.Stmt.yg
-      in
-      let r1 =
-        Point.add
-          (Point.mul2 p.pc_s1.(i) hps.(i) !c p.pc_key_image)
-          stmt.Stmt.yhp
-      in
-      let l2 = Point.double_mul !c ring.(i).Mlsag.d p.pc_s2.(i) in
-      c := Mlsag.challenge msg l1 r1 l2
-    end
-    else
-      c := Mlsag.step ~msg ~ring ~hps ~ki:p.pc_key_image !c i p.pc_s1.(i) p.pc_s2.(i)
-  done;
-  Sc.equal !c p.pc_c0
+  let q = p.pc_pre in
+  Lsag.closes (Mlsag.walk ~msg ring) q.p_key_image ~at:(q.p_pi, stmt) q.p_c0
+    [| q.p_ss; p.pc_s2 |]
 
 let adapt (p : pre_signature) ~(y : Sc.t) : Mlsag.signature =
-  let s1 = Array.copy p.pc_s1 in
-  s1.(p.pc_pi) <- Sc.add s1.(p.pc_pi) y;
-  { Mlsag.c0 = p.pc_c0; s1; s2 = p.pc_s2; key_image = p.pc_key_image }
+  let q = Lsag.partial_adapt p.pc_pre ~y in
+  { Mlsag.c0 = q.p_c0; s1 = q.p_ss; s2 = p.pc_s2; key_image = q.p_key_image }
 
 let ext (sg : Mlsag.signature) (p : pre_signature) : Sc.t =
-  Sc.sub sg.Mlsag.s1.(p.pc_pi) p.pc_s1.(p.pc_pi)
+  Sc.sub sg.Mlsag.s1.(p.pc_pre.p_pi) p.pc_pre.p_ss.(p.pc_pre.p_pi)
 
 (** Local driver (both sides in-process), as {!Two_party.run_psign}. *)
 let run_psign (ga : Monet_hash.Drbg.t) (gb : Monet_hash.Drbg.t)
     ~(alice : Two_party.joint) ~(bob : Two_party.joint) ~(ring : Mlsag.column array)
     ~(pi : int) ~(msg : string) ~(stmt : Stmt.t) ~(z : Sc.t) :
     (pre_signature, string) result =
-  let na = Two_party.nonce ga alice and nb = Two_party.nonce gb bob in
-  match
-    ( session alice ~ring ~pi ~msg ~stmt ~z ~mine:na ~theirs:nb.Two_party.ns_msg,
-      session bob ~ring ~pi ~msg ~stmt ~z ~mine:nb ~theirs:na.Two_party.ns_msg )
-  with
-  | Ok sa, Ok sb ->
-      let za = z_share alice sa na and zb = z_share bob sb nb in
-      if not (check_z_share alice sa ~their_nonce:nb.Two_party.ns_msg ~z:zb) then
-        Error "bob's share failed"
-      else if not (check_z_share bob sb ~their_nonce:na.Two_party.ns_msg ~z:za) then
-        Error "alice's share failed"
-      else Ok (assemble sa ~my_z:za ~their_z:zb)
-  | Error e, _ | _, Error e -> Error e
+  Two_party.run_sessions ga gb ~alice ~bob
+    ~session:(fun j mine theirs -> session j ~ring ~pi ~msg ~stmt ~z ~mine ~theirs)
+    ~assemble:(fun se ~my_z ~their_z ->
+      { pc_pre = Two_party.assemble se ~my_z ~their_z; pc_s2 = se.Two_party.se_ss.(1) })

@@ -379,6 +379,92 @@ let test_ring_walk_golden () =
       ("two_party_ct.adapt", golden_digest Mlsag.encode (Two_party_ct.adapt tpc ~y));
     ]
 
+(* --- The ring-walk step counter ---
+
+   sig.lsag_step bumps once per ring slot walked: n for a verify or a
+   pre-verify, n - 1 for a sign or a 2-party session (the real slot's
+   challenge comes from its commitments, not from a step), in the
+   one-row and the two-row flavour alike. *)
+
+let test_ring_walk_step_counts () =
+  let module M = Monet_obs.Metrics in
+  Fun.protect ~finally:(fun () -> M.disable (); M.reset ()) @@ fun () ->
+  M.enable ();
+  let ctr = M.counter "sig.lsag_step" in
+  let steps f =
+    let before = M.count ctr in
+    let r = f () in
+    (M.count ctr - before, r)
+  in
+  let g = Monet_hash.Drbg.of_int 0x57e9 in
+  let n = 6 in
+  let kp = Sig_core.gen g in
+  let ring = make_ring g ~n ~pi:2 ~vk:kp.vk in
+  let y = Sc.random_nonzero g in
+  let stmt = Stmt.make ~y ~hp:(Two_party.hp_of_vk kp.vk) in
+  let s_sign, sg = steps (fun () -> Lsag.sign g ~ring ~pi:2 ~sk:kp.sk ~msg:"m") in
+  let s_pre, pre = steps (fun () -> Lsag.pre_sign g ~ring ~pi:2 ~sk:kp.sk ~msg:"m" ~stmt) in
+  let s_verify, _ = steps (fun () -> Lsag.verify ~ring ~msg:"m" sg) in
+  let s_pre_verify, _ = steps (fun () -> Lsag.pre_verify ~ring ~msg:"m" ~stmt pre) in
+  let sk = Sc.random_nonzero g and z = Sc.random_nonzero g in
+  let cols =
+    Array.init n (fun i ->
+        if i = 4 then { Mlsag.p = Point.mul_base sk; d = Point.mul_base z }
+        else
+          { Mlsag.p = Point.mul_base (Sc.random_nonzero g);
+            d = Point.mul_base (Sc.random_nonzero g) })
+  in
+  let s_msign, msg_sg = steps (fun () -> Mlsag.sign g ~ring:cols ~pi:4 ~sk ~z ~msg:"m") in
+  let s_mverify, _ = steps (fun () -> Mlsag.verify ~ring:cols ~msg:"m" msg_sg) in
+  let ja, jb =
+    match Two_party.run_jgen (Monet_hash.Drbg.split g "a") (Monet_hash.Drbg.split g "b") with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "jgen: %s" e
+  in
+  let stmt2 = Stmt.make ~y ~hp:ja.Two_party.hp in
+  let ring2 = make_ring g ~n ~pi:1 ~vk:ja.Two_party.vk in
+  let zc = Sc.random_nonzero g in
+  let cols2 =
+    Array.init n (fun i ->
+        if i = 3 then { Mlsag.p = ja.Two_party.vk; d = Point.mul_base zc }
+        else
+          { Mlsag.p = Point.mul_base (Sc.random_nonzero g);
+            d = Point.mul_base (Sc.random_nonzero g) })
+  in
+  let na = Two_party.nonce g ja and nb = Two_party.nonce g jb in
+  let ok label = function Ok x -> x | Error e -> Alcotest.failf "%s: %s" label e in
+  let s_session, _ =
+    steps (fun () ->
+        ok "session"
+          (Two_party.session ja ~ring:ring2 ~pi:1 ~msg:"m" ~stmt:stmt2 ~mine:na
+             ~theirs:nb.Two_party.ns_msg))
+  in
+  let s_ct_session, _ =
+    steps (fun () ->
+        ok "ct session"
+          (Two_party_ct.session ja ~ring:cols2 ~pi:3 ~msg:"m" ~stmt:stmt2 ~z:zc ~mine:na
+             ~theirs:nb.Two_party.ns_msg))
+  in
+  let tpc =
+    ok "ct psign"
+      (Two_party_ct.run_psign (Monet_hash.Drbg.split g "c1") (Monet_hash.Drbg.split g "c2")
+         ~alice:ja ~bob:jb ~ring:cols2 ~pi:3 ~msg:"m" ~stmt:stmt2 ~z:zc)
+  in
+  let s_ct_pre_verify, ct_ok =
+    steps (fun () -> Two_party_ct.pre_verify ~ring:cols2 ~msg:"m" ~stmt:stmt2 tpc)
+  in
+  Alcotest.(check bool) "2p-ct pre-verifies" true ct_ok;
+  Alcotest.(check (list (pair string int)))
+    "steps per call on a ring of 6"
+    [ ("lsag.sign", n - 1); ("lsag.pre_sign", n - 1); ("lsag.verify", n);
+      ("lsag.pre_verify", n); ("mlsag.sign", n - 1); ("mlsag.verify", n);
+      ("two_party.session", n - 1); ("two_party_ct.session", n - 1);
+      ("two_party_ct.pre_verify", n) ]
+    [ ("lsag.sign", s_sign); ("lsag.pre_sign", s_pre); ("lsag.verify", s_verify);
+      ("lsag.pre_verify", s_pre_verify); ("mlsag.sign", s_msign);
+      ("mlsag.verify", s_mverify); ("two_party.session", s_session);
+      ("two_party_ct.session", s_ct_session); ("two_party_ct.pre_verify", s_ct_pre_verify) ]
+
 let tests =
   [
     Alcotest.test_case "schnorr sign" `Quick test_schnorr_sign;
@@ -400,4 +486,5 @@ let tests =
     Alcotest.test_case "batch pre-signatures" `Quick test_batch_pres;
     Alcotest.test_case "batch lsag (shared Hp)" `Quick test_batch_lsag;
     Alcotest.test_case "ring walk golden bytes" `Quick test_ring_walk_golden;
+    Alcotest.test_case "ring walk step counts" `Quick test_ring_walk_step_counts;
   ]

@@ -518,6 +518,25 @@ let run ~smoke : entry list =
         | Ok _ -> ()
         | Error e -> failwith (Ch.error_to_string e))
   in
+  (* The two-row walk (MLSAG, a RingCT input) over the LSAG rows'
+     ring, with a commitment-difference key on row 2; drawn last so the
+     rows above keep their operands. *)
+  let z = Sc.random_nonzero drbg in
+  let cols =
+    Array.init ring_size (fun i ->
+        { Monet_sig.Mlsag.p = ring.(i);
+          d = Point.mul_base (if i = pi then z else Sc.random_nonzero drbg) })
+  in
+  let msg_sg = ref (Monet_sig.Mlsag.sign drbg ~ring:cols ~pi ~sk ~z ~msg:"bench") in
+  let mlsag_sign_ops =
+    ops_per_sec ~iters:(scale 50 2) (fun () ->
+        msg_sg := Monet_sig.Mlsag.sign drbg ~ring:cols ~pi ~sk ~z ~msg:"bench")
+  in
+  let mlsag_verify_ops =
+    ops_per_sec ~iters:(scale 50 2) (fun () ->
+        if not (Monet_sig.Mlsag.verify ~ring:cols ~msg:"bench" !msg_sg) then
+          failwith "mlsag verify failed in bench")
+  in
   ignore (Sys.opaque_identity !sink);
   [
     entry "fe_mul" fe_mul_ops ~baseline:fe_mul_generic_ops
@@ -528,8 +547,11 @@ let run ~smoke : entry list =
     entry "point_mul" pmul_ops ~baseline:pmul_baseline;
     entry "mul_base" mb_ops ~baseline:mb_baseline;
     entry "double_mul" dm_ops ~baseline:dm_baseline;
-    entry "lsag_sign_ring11" lsag_sign_ops;
-    entry "lsag_verify_ring11" lsag_verify_ops;
+    entry "lsag_sign_ring11" lsag_sign_ops ~note:("one-row ring walk, ring of 11; " ^ clock);
+    entry "lsag_verify_ring11" lsag_verify_ops ~note:("one-row ring walk, ring of 11; " ^ clock);
+    entry "mlsag_sign_ring11" mlsag_sign_ops ~note:("two-row ring walk, ring of 11; " ^ clock);
+    entry "mlsag_verify_ring11" mlsag_verify_ops
+      ~note:("two-row ring walk, ring of 11; " ^ clock);
     entry "msm" msm_ops ~baseline:msm_baseline
       ~note:
         "64-term Pippenger MSM, per-term rate; baseline: same sum by 64 \
@@ -556,7 +578,8 @@ let run ~smoke : entry list =
 let required_keys =
   [
     "fe_mul"; "fe_mul_vs_specialized"; "point_mul"; "mul_base"; "double_mul";
-    "lsag_sign_ring11"; "lsag_verify_ring11"; "msm"; "batch_verify";
+    "lsag_sign_ring11"; "lsag_verify_ring11"; "mlsag_sign_ring11"; "mlsag_verify_ring11";
+    "msm"; "batch_verify";
     "channel_update"; "fe_inv"; "point_encode"; "point_decode"; "zl_pow_384";
     "stadler_prove_80"; "stadler_verify_batch_39"; "results"; "schema"; "obs_registry";
   ]
